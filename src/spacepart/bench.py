@@ -18,9 +18,7 @@ import os
 import platform
 import statistics
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -31,7 +29,7 @@ from .core import Dataset, compute_metrics, generate_gaussian_mixture, generate_
 from .dataio import load_dataset
 from .grid import GridConfig, GridFeasibilityError, build_grid, grid_stats
 from .kdtree import kd_partition
-from .seeding import STRATEGY_KINDS
+from .seeding import SeedStrategy
 from .vtree import build_vtree
 
 __all__ = [
@@ -89,10 +87,7 @@ def parse_scheme(token: str) -> tuple[str, Optional[str]]:
     if token == "grid-stats":
         return "grid-stats", None
     if token.startswith("vtree:"):
-        strategy = token.split(":", 1)[1]
-        if strategy not in STRATEGY_KINDS:
-            raise ValueError(f"unknown vtree strategy {strategy!r}, expected one of {STRATEGY_KINDS}")
-        return "vtree", strategy
+        return "vtree", SeedStrategy(token.split(":", 1)[1]).kind
     raise ValueError(f"unknown scheme {token!r} (expected kdtree, vtree:<strategy>, or grid-stats)")
 
 
@@ -111,7 +106,6 @@ class BenchConfig:
     seed: int = 0
     grid_splits_y: int = 2
     grid_multiplier_k: int = 1
-    parallel_cells: bool = False
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -136,7 +130,6 @@ class BenchConfig:
             "seed": self.seed,
             "grid_splits_y": self.grid_splits_y,
             "grid_multiplier_k": self.grid_multiplier_k,
-            "parallel_cells": self.parallel_cells,
         }
 
 
@@ -168,7 +161,7 @@ def _environment() -> dict:
 
 
 def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[str],
-              m: Optional[int], cfg: BenchConfig, timer_lock: threading.Lock) -> dict:
+              m: Optional[int], cfg: BenchConfig) -> dict:
     cell = {
         "scheme": scheme_label(scheme, strategy),
         "strategy": strategy,
@@ -182,10 +175,9 @@ def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[st
     try:
         if scheme == "grid-stats":
             grid_cfg = GridConfig(cfg.grid_splits_y, cfg.grid_multiplier_k, dims=ds.dims)
-            with timer_lock:
-                t0 = time.perf_counter()
-                grid = build_grid(ds, grid_cfg)
-                elapsed = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            grid = build_grid(ds, grid_cfg)
+            elapsed = time.perf_counter() - t0
             cell["times_s"] = [elapsed]
             cell["median_time_s"] = elapsed
             cell["grid"] = grid_stats(grid).to_dict()
@@ -193,15 +185,14 @@ def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[st
 
         times = []
         result = None
-        with timer_lock:
-            for _ in range(cfg.repetitions):
-                t0 = time.perf_counter()
-                if scheme == "kdtree":
-                    result = kd_partition(ds, m, eps=cfg.eps)
-                else:
-                    result = build_vtree(ds, m, fanout=cfg.fanout, strategy=strategy,
-                                         eps=cfg.eps, seed=cfg.seed)
-                times.append(time.perf_counter() - t0)
+        for _ in range(cfg.repetitions):
+            t0 = time.perf_counter()
+            if scheme == "kdtree":
+                result = kd_partition(ds, m, eps=cfg.eps)
+            else:
+                result = build_vtree(ds, m, fanout=cfg.fanout, strategy=strategy,
+                                     eps=cfg.eps, seed=cfg.seed)
+            times.append(time.perf_counter() - t0)
         median_time = statistics.median(times)
         assignment = result.assignment if scheme == "kdtree" else result.leaf_assignment
         metrics = compute_metrics(assignment, median_time)
@@ -236,19 +227,10 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
                 for m in cfg.m_values:
                     plan.append((spec, ds, scheme, strategy, m))
 
-    # The lock keeps timed regions from ever overlapping; with parallel cells
-    # only generation/bookkeeping overlaps, preserving timing integrity.
-    timer_lock = threading.Lock()
-    if cfg.parallel_cells and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(plan))) as pool:
-            cells = list(pool.map(lambda args: _run_cell(*args, cfg, timer_lock), plan))
-    else:
-        cells = [_run_cell(*args, cfg, timer_lock) for args in plan]
-
     return BenchReport(
         environment=_environment(),
         config=cfg.to_dict(),
-        cells=cells,
+        cells=[_run_cell(*args, cfg) for args in plan],
         created=datetime.now(timezone.utc).isoformat(),
     )
 

@@ -84,7 +84,6 @@ def _build_parser() -> _Parser:
     bench.add_argument("--grid-y", type=int, default=2)
     bench.add_argument("--grid-k", type=int, default=1)
     bench.add_argument("--large", action="store_true", help="include the 40000x1024 cell")
-    bench.add_argument("--parallel-cells", action="store_true")
     bench.add_argument("--format", choices=("json", "csv"), default="json")
     bench.add_argument("-o", "--output", default="bench_out", help="output directory")
 
@@ -166,7 +165,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         grid_splits_y=args.grid_y,
         grid_multiplier_k=args.grid_k,
-        parallel_cells=args.parallel_cells,
     )
     report = run_benchmark(cfg)
     out = Path(args.output)

@@ -8,6 +8,7 @@ takes an explicit seed.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -26,6 +27,7 @@ __all__ = [
     "generate_gaussian_mixture",
     "compute_metrics",
     "balance_floor",
+    "split_largest_leaf",
     "write_assignment_csv",
     "read_assignment_csv",
 ]
@@ -87,7 +89,7 @@ class Dataset:
         finite = np.isfinite(coords)
         if not finite.all():
             bad = int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise ValueError(f"non-finite coordinate in point row {bad}")
+            raise ValueError(f"non-finite value in point row {bad}")
         if ids is None:
             ids = np.arange(n, dtype=np.int64)
         else:
@@ -339,12 +341,46 @@ def balance_floor(n: int, m: int) -> float:
     return math.ceil(n / m) * m / n
 
 
+def split_largest_leaf(root_state, n: int, m: int, split) -> dict:
+    """The split loop of both trees: grow m leaves, always splitting the largest.
+
+    A leaf is an opaque state plus its point count. ``split(state, room)`` cuts
+    one leaf into at least two and at most ``room`` children (``room`` is how
+    many leaves are still missing, counting the one being split) and returns
+    their ``(state, size)`` pairs. Ties between equally large leaves go to the
+    lowest leaf id; child 0 keeps its parent's id and the others take the next
+    unused ids. Returns the final ``{leaf id: state}``.
+    """
+    leaves = {0: root_state}
+    heap = [(-n, 0)]
+    next_id = 1
+    while len(leaves) < m:
+        _, lid = heapq.heappop(heap)
+        state = leaves.pop(lid)
+        children = split(state, m - len(leaves))
+        for c, (child, size) in enumerate(children):
+            pid = lid if c == 0 else next_id + c - 1
+            leaves[pid] = child
+            heapq.heappush(heap, (-size, pid))
+        next_id += len(children) - 1
+    return leaves
+
+
+# rows formatted per write, so the text of a whole file is never in memory at once
+_CSV_BLOCK = 1 << 14
+
+
 def write_assignment_csv(assignment: PartitionAssignment, path) -> None:
     """Write one `point-id,partition-id,affected-flag` row per point, ordered by id."""
+    order = np.argsort(assignment._ids)
+    ids = assignment._ids[order]
+    labels = assignment._label_rows[order]
+    flags = np.isin(ids, assignment._affected_ids).astype(np.int64)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        for pid in sorted(assignment.labels):
-            flag = 1 if pid in assignment.affected else 0
-            f.write(f"{pid},{assignment.labels[pid]},{flag}\n")
+        for lo in range(0, len(ids), _CSV_BLOCK):
+            hi = lo + _CSV_BLOCK
+            rows = zip(ids[lo:hi].tolist(), labels[lo:hi].tolist(), flags[lo:hi].tolist())
+            f.write("".join(f"{i},{p},{flag}\n" for i, p, flag in rows))
 
 
 def read_assignment_csv(path) -> PartitionAssignment:

@@ -12,6 +12,7 @@ named on load.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -76,28 +77,27 @@ def load_dataset(path, format: str | None = None, header: bool = False, id_colum
 
 
 def _load_binary(path) -> Dataset:
-    with open(path, "rb") as f:
-        raw = f.read()
     hdr_len = len(MAGIC) + _HEADER.size
-    if len(raw) < hdr_len:
-        raise DatasetFormatError(f"{path}: truncated header, got {len(raw)} bytes, need {hdr_len}")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic bytes {raw[:len(MAGIC)]!r} at offset 0")
-    n, dims = _HEADER.unpack_from(raw, len(MAGIC))
-    if n == 0 or dims == 0:
-        raise DatasetFormatError(f"{path}: header declares empty dataset ({n} x {dims})")
-    expected = n * dims * 8
-    payload = raw[hdr_len:]
-    if len(payload) != expected:
-        raise DatasetFormatError(
-            f"{path}: coordinate payload is {len(payload)} bytes at offset {hdr_len}, expected {expected}"
-        )
-    coords = np.frombuffer(payload, dtype="<f8").reshape(n, dims).astype(np.float64)
-    finite = np.isfinite(coords).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise DatasetFormatError(f"{path}: non-finite value in point row {bad}")
-    return Dataset(coords)
+    with open(path, "rb") as f:
+        head = f.read(hdr_len)
+        if len(head) < hdr_len:
+            raise DatasetFormatError(f"{path}: truncated header, got {len(head)} bytes, need {hdr_len}")
+        if head[: len(MAGIC)] != MAGIC:
+            raise DatasetFormatError(f"{path}: bad magic bytes {head[:len(MAGIC)]!r} at offset 0")
+        n, dims = _HEADER.unpack_from(head, len(MAGIC))
+        if n == 0 or dims == 0:
+            raise DatasetFormatError(f"{path}: header declares empty dataset ({n} x {dims})")
+        expected = n * dims * 8
+        payload = os.fstat(f.fileno()).st_size - hdr_len
+        if payload != expected:
+            raise DatasetFormatError(
+                f"{path}: coordinate payload is {payload} bytes at offset {hdr_len}, expected {expected}"
+            )
+        coords = np.fromfile(f, dtype="<f8", count=n * dims).reshape(n, dims)
+    try:
+        return Dataset(coords)
+    except ValueError as e:  # the finiteness check names the first bad row
+        raise DatasetFormatError(f"{path}: {e}") from None
 
 
 def _load_csv(path, header: bool = False, id_column: int | None = None) -> Dataset:

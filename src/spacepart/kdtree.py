@@ -12,7 +12,6 @@ repeated scanning the scheme needs compared to a Voronoi split tree.
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Dataset, PartitionAssignment
+from .core import Dataset, PartitionAssignment, split_largest_leaf
 
 __all__ = [
     "KdNode",
@@ -130,25 +129,17 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
     if eps < 0:
         raise ValueError("eps must be non-negative")
 
-    coords = ds.coords
-    ids = ds.ids
     pivot_rng = random.Random(_PIVOT_SEED)
-    # pending leaves reference their parent's arrays plus local row numbers;
-    # rows materialize only when a leaf is actually split, so final leaves
-    # never pay for a coordinate gather
-    leaves: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]] = {
-        0: (coords, ids, np.arange(ds.n), None)
-    }
-    heap: list[tuple[int, int]] = [(-ds.n, 0)]
-    slots: dict[int, tuple[KdNode, str]] = {}
     root: Union[KdNode, int] = 0
     affected: set[int] = set()
     scan = 0
-    next_id = 1
 
-    while len(leaves) < m:
-        _, lid = heapq.heappop(heap)
-        parent_coords, parent_ids, idx, rows = leaves.pop(lid)
+    # a pending leaf references its parent's arrays plus local row numbers
+    # (rows materialize only when the leaf is actually split, so final leaves
+    # never pay for a coordinate gather) and the parent slot it hangs from
+    def split(state, room):
+        nonlocal root, scan
+        parent_coords, parent_ids, idx, rows, slot = state
         if rows is None:
             node_coords, node_ids = parent_coords, parent_ids
         else:
@@ -183,32 +174,31 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
             split_dim=split_dim,
             split_value=float(median),
             point_count=n_node,
-            left=lid,
-            right=next_id,
+            left=None,
+            right=None,
             tie_left_max_id=tie_left_max_id,
         )
-        if lid in slots:
-            parent, side = slots.pop(lid)
-            setattr(parent, side, node)
-        else:
+        if slot is None:
             root = node
-        slots[lid] = (node, "left")
-        slots[next_id] = (node, "right")
-
+        else:
+            setattr(*slot, node)
         left_rows = np.flatnonzero(left_mask)
         right_rows = np.flatnonzero(~left_mask)
-        leaves[lid] = (node_coords, node_ids, idx[left_rows], left_rows)
-        leaves[next_id] = (node_coords, node_ids, idx[right_rows], right_rows)
-        heapq.heappush(heap, (-len(left_rows), lid))
-        heapq.heappush(heap, (-len(right_rows), next_id))
-        next_id += 1
+        return [
+            ((node_coords, node_ids, idx[left_rows], left_rows, (node, "left")), len(left_rows)),
+            ((node_coords, node_ids, idx[right_rows], right_rows, (node, "right")), len(right_rows)),
+        ]
+
+    leaves = split_largest_leaf((ds.coords, ds.ids, np.arange(ds.n), None, None), ds.n, m, split)
 
     label_rows = np.empty(ds.n, dtype=np.int64)
     leaf_sizes = {}
-    for lid, (_, _, idx, _) in leaves.items():
+    for lid, (_, _, idx, _, slot) in leaves.items():
         leaf_sizes[lid] = len(idx)
         label_rows[idx] = lid
-    assignment = PartitionAssignment.from_arrays(m, ids, label_rows, sorted(affected))
+        if slot is not None:
+            setattr(*slot, lid)
+    assignment = PartitionAssignment.from_arrays(m, ds.ids, label_rows, sorted(affected))
     return KdPartitionTree(
         root=root,
         leaf_count=m,

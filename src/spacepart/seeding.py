@@ -15,6 +15,11 @@ Four ways to pick the k split centers of one node:
 Every strategy is a pure function of (points, k, seed): ties break toward the
 lowest point id and sampling uses an inverse-CDF over an explicit uniform
 variate, so results are independent of evaluation order.
+
+random, gnat and kmeanspp run through one selector, ``select_positions``,
+over a squared-distance column provider: the public ``seeds_*`` functions
+pass the exact elementwise column, the Voronoi tree build passes its
+expansion kernel. ``SeedStrategy`` holds the one check of a strategy name.
 """
 
 from __future__ import annotations
@@ -109,91 +114,83 @@ def _seed_set(coords, ids, positions) -> SeedSet:
     return SeedSet(tuple(Point(int(ids[i]), coords[i]) for i in positions))
 
 
-def seeds_random(points, k: int, rng) -> SeedSet:
-    """k distinct points sampled uniformly without replacement."""
+def select_positions(kind: str, ids: np.ndarray, k: int, rng: np.random.Generator, column, node_coords):
+    """The one selector behind ``seeds_*`` and the tree build: k positions plus their columns.
+
+    ``kind`` is random, gnat or kmeanspp (median seeding works on one axis,
+    not on distance columns) and the caller has already checked that k fits.
+    ``column(p)`` returns the squared distances from every point to the point
+    at position ``p``; ``node_coords()`` returns the points' coordinate rows
+    and is only called to count distinct locations when kmeans++ runs out of
+    them. kmeans++ and farthest-sum selection reuse the columns they compute
+    while sampling, so k seeds cost k column passes.
+    """
+    n = len(ids)
+    if kind == "random":
+        positions = [int(i) for i in rng.choice(n, size=k, replace=False)]
+        return positions, [column(p) for p in positions]
+    first = int(rng.integers(n))
+    positions = [first]
+    cols = [column(first)]
+    if kind == "kmeanspp":
+        nearest = cols[0].copy()
+        while len(positions) < k:
+            if not nearest.sum() > 0:
+                distinct = len(np.unique(node_coords(), axis=0))
+                raise ValueError(
+                    f"cannot place {k} centers: the points span only {distinct} distinct locations"
+                )
+            nxt = weighted_index(nearest, float(rng.random()))
+            positions.append(nxt)
+            cols.append(column(nxt))
+            np.minimum(nearest, cols[-1], out=nearest)
+    else:
+        # greedy farthest-sum: the next seed is the unchosen point with the
+        # largest sum of Euclidean distances to the seeds so far, lowest id on ties
+        sum_dist = np.sqrt(cols[0])
+        chosen = np.zeros(n, dtype=bool)
+        chosen[first] = True
+        while len(positions) < k:
+            masked = np.where(chosen, -np.inf, sum_dist)
+            nxt = _pick_lowest_id(np.flatnonzero(masked == masked.max()), ids)
+            positions.append(nxt)
+            chosen[nxt] = True
+            cols.append(column(nxt))
+            sum_dist = sum_dist + np.sqrt(cols[-1])
+    return positions, cols
+
+
+def _select(kind: str, points, k: int, rng, least: int) -> SeedSet:
     coords, ids = as_point_arrays(points)
-    positions = random_positions(coords.shape[0], k, make_rng(rng))
+    n = coords.shape[0]
+    if not least <= k <= n:
+        need = f" (need {least} <= k <= n)" if least > 1 else ""
+        raise ValueError(f"cannot draw {k} seeds from {n} points{need}")
+    positions, _ = select_positions(
+        kind, ids, k, make_rng(rng), lambda p: sq_column(coords, coords[p]), lambda: coords
+    )
     return _seed_set(coords, ids, positions)
 
 
-def random_positions(n: int, k: int, rng: np.random.Generator) -> list[int]:
-    if not 1 <= k <= n:
-        raise ValueError(f"cannot draw {k} seeds from {n} points")
-    return [int(i) for i in rng.choice(n, size=k, replace=False)]
+def seeds_random(points, k: int, rng) -> SeedSet:
+    """k distinct points sampled uniformly without replacement."""
+    return _select("random", points, k, rng, least=1)
 
 
 def seeds_gnat(points, k: int, rng) -> SeedSet:
     """Farthest-sum greedy seeds: maximize total distance to the seeds so far."""
-    coords, ids = as_point_arrays(points)
-    positions, _ = gnat_positions(coords, ids, k, make_rng(rng))
-    return _seed_set(coords, ids, positions)
-
-
-def gnat_positions(
-    coords: np.ndarray, ids: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[list[int], np.ndarray]:
-    """Greedy farthest-sum selection; also returns the (n, k) distance columns.
-
-    The i-th seed (i >= 2) is the unselected point with the largest sum of
-    Euclidean distances to the previous seeds, ties broken by lowest id.
-    """
-    n = coords.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError(f"cannot draw {k} seeds from {n} points (need 2 <= k <= n)")
-    first = int(rng.integers(n))
-    positions = [first]
-    dist_cols = np.empty((n, k))
-    dist_cols[:, 0] = np.sqrt(sq_column(coords, coords[first]))
-    sum_dist = dist_cols[:, 0].copy()
-    chosen = np.zeros(n, dtype=bool)
-    chosen[first] = True
-    while len(positions) < k:
-        masked = np.where(chosen, -np.inf, sum_dist)
-        best = masked.max()
-        nxt = _pick_lowest_id(np.flatnonzero(masked == best), ids)
-        dist_cols[:, len(positions)] = np.sqrt(sq_column(coords, coords[nxt]))
-        sum_dist += dist_cols[:, len(positions)]
-        positions.append(nxt)
-        chosen[nxt] = True
-    return positions, dist_cols
+    return _select("gnat", points, k, rng, least=2)
 
 
 def seeds_kmeanspp(points, k: int, rng) -> SeedSet:
-    """Squared-distance weighted sampling after a uniform first center."""
-    coords, ids = as_point_arrays(points)
-    positions, _ = kmeanspp_positions(coords, k, make_rng(rng))
-    return _seed_set(coords, ids, positions)
-
-
-def kmeanspp_positions(
-    coords: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[list[int], np.ndarray]:
-    """Weighted D^2 selection; also returns the (n, k) squared-distance columns.
+    """Squared-distance weighted sampling after a uniform first center.
 
     Each round samples the next center with probability proportional to the
     squared distance to the nearest chosen center; points at distance zero can
     never be drawn. Raises when the points offer fewer distinct locations than
     requested centers.
     """
-    n = coords.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError(f"cannot draw {k} seeds from {n} points (need 2 <= k <= n)")
-    first = int(rng.integers(n))
-    positions = [first]
-    sq_cols = np.empty((n, k))
-    sq_cols[:, 0] = sq_column(coords, coords[first])
-    nearest_sq = sq_cols[:, 0].copy()
-    while len(positions) < k:
-        if not nearest_sq.sum() > 0:
-            distinct = len(np.unique(coords, axis=0))
-            raise ValueError(
-                f"cannot place {k} centers: the points span only {distinct} distinct locations"
-            )
-        nxt = weighted_index(nearest_sq, float(rng.random()))
-        sq_cols[:, len(positions)] = sq_column(coords, coords[nxt])
-        np.minimum(nearest_sq, sq_cols[:, len(positions)], out=nearest_sq)
-        positions.append(nxt)
-    return positions, sq_cols
+    return _select("kmeanspp", points, k, rng, least=2)
 
 
 def seeds_median(points, k: int = 2) -> SeedSet:

@@ -14,35 +14,30 @@ so the finished tree stores points in its leaves alone. Walking the tree
 bottom-up yields the order in which per-partition cluster results should be
 merged.
 
-Distance kernel: squared distances come from the expansion |p|^2 - 2 p.c +
-|c|^2 with precomputed row norms, clamped at zero. One BLAS column per center
-replaces per-center subtraction passes, which is what makes high-dimensional
-builds cheap; construction, routing, boundary probes and verification all go
-through the same kernel. Public `assign_to_centers` uses the plain
-elementwise form instead, where exact zero self-distances matter more than
-throughput.
+Distance kernel: ``expansion_column`` computes squared distances as
+|p|^2 - 2 p.c + |c|^2 with precomputed row norms, clamped at zero. One BLAS
+column per center replaces per-center subtraction passes, which is what makes
+high-dimensional builds cheap; construction (seeding included), routing,
+boundary probes and verification all go through it. Labeller: ``_split_rows``
+turns per-center columns into labels, the affected mask and child counts, for
+the build and for public ``assign_to_centers`` alike; the latter feeds it the
+plain elementwise columns, where exact zero self-distances matter more than
+throughput. Split order (largest leaf first) comes from
+``core.split_largest_leaf``, shared with the kd-tree.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, PartitionAssignment, Point, as_point_arrays, make_rng
-from .seeding import (
-    STRATEGY_KINDS,
-    SeedStrategy,
-    median_positions,
-    sq_column,
-    weighted_index,
-)
+from .core import Dataset, PartitionAssignment, Point, as_point_arrays, make_rng, split_largest_leaf
+from .seeding import SeedStrategy, median_positions, select_positions, sq_column
 
 __all__ = [
-    "CenterSummary",
     "VNode",
     "VTreeConfig",
     "VTree",
@@ -64,14 +59,9 @@ def row_sqnorms(coords: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", coords, coords)
 
 
-@dataclass(frozen=True)
-class CenterSummary:
-    """What a split keeps of a child's points: count, centroid, bounding box."""
-
-    count: int
-    centroid: Optional[np.ndarray]
-    bbox_min: Optional[np.ndarray]
-    bbox_max: Optional[np.ndarray]
+def expansion_column(coords: np.ndarray, sqnorms: np.ndarray, center: np.ndarray, center_sqnorm) -> np.ndarray:
+    """Squared distances from every row to one center: clamped |p|^2 - 2 p.c + |c|^2."""
+    return np.maximum(sqnorms - 2.0 * (coords @ center) + center_sqnorm, 0.0)
 
 
 @dataclass
@@ -80,8 +70,7 @@ class VNode:
 
     ``axis`` is set on nodes split with median seeding: distances to centers
     are then measured along that dimension only, so the cell boundary is the
-    axis midpoint between the two straddling seeds. ``summary`` stays None
-    until ``VTree.ensure_summaries`` derives it from the leaf data.
+    axis midpoint between the two straddling seeds.
     """
 
     level: int
@@ -91,7 +80,6 @@ class VNode:
     overlap_count: int = 0
     children: tuple["VNode", ...] = ()
     partition_id: Optional[int] = None
-    summary: Optional[tuple[CenterSummary, ...]] = None
     axis: Optional[int] = None
     members: Optional[np.ndarray] = None
 
@@ -116,7 +104,7 @@ class VNode:
         if sqnorms is None:
             sqnorms = row_sqnorms(coords)
         cols = [
-            np.maximum(sqnorms - 2.0 * (coords @ c.coords) + sq_c, 0.0)
+            expansion_column(coords, sqnorms, c.coords, sq_c)
             for c, sq_c in zip(self.centers, self.center_sqnorms)
         ]
         return np.column_stack(cols)
@@ -148,38 +136,10 @@ class VTree:
     scan_count: int
     leaf_nodes: dict[int, VNode]
     dims: int
-    _coords: np.ndarray = field(repr=False, default=None)
-    _summaries_done: bool = field(repr=False, default=False)
 
     @property
     def leaf_count(self) -> int:
         return self.config.partition_count
-
-    def ensure_summaries(self) -> None:
-        """Populate per-center summaries bottom-up from the leaf point data.
-
-        Summaries are diagnostics (rendering, routing sanity checks); they are
-        derived on demand so building and timing a partition does not pay for
-        them. Idempotent.
-        """
-        if not self._summaries_done:
-            _attach_summaries(self.root, self._coords)
-            self._summaries_done = True
-
-
-def _assign_labels(dist_cols: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Labels (argmin, ties to the lowest center index) and the affected mask.
-
-    ``dist_cols`` may be squared or real distances for the labels; the margin
-    test runs on real distances, so callers pass real columns whenever eps
-    matters (monotonicity makes the argmin identical either way).
-    """
-    labels = np.argmin(dist_cols, axis=1)
-    if dist_cols.shape[1] == 1:
-        return labels, np.zeros(len(dist_cols), dtype=bool)
-    two = np.partition(dist_cols, 1, axis=1)
-    affected = (two[:, 1] - two[:, 0]) <= 2.0 * eps
-    return labels, affected
 
 
 def assign_to_centers(points, centers: Sequence[Point], eps: float = 0.0):
@@ -196,8 +156,8 @@ def assign_to_centers(points, centers: Sequence[Point], eps: float = 0.0):
     if eps < 0:
         raise ValueError("eps must be non-negative")
     coords, ids = as_point_arrays(points)
-    dists = np.column_stack([np.sqrt(sq_column(coords, c.coords)) for c in centers])
-    labels, affected = _assign_labels(dists, eps)
+    cols = [sq_column(coords, c.coords) for c in centers]
+    labels, affected, _ = _split_rows(cols, None, eps, len(centers))
     per_center = [[int(i) for i in ids[labels == c]] for c in range(len(centers))]
     return per_center, {int(i) for i in ids[affected]}
 
@@ -213,8 +173,12 @@ def _split_rows(cols, axis, eps: float, k: int):
 
     Columns are squared distances (axis nodes: real axis distances); squared
     values order identically, and the 2*eps margin test moves to real values
-    only when eps is positive.
+    only when eps is positive. Labels go to the nearest center, ties to the
+    lowest center index; a tied point is affected for any eps.
     """
+    if k == 1:
+        n = len(cols[0])
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.array([n])
     if k == 2:
         c0, c1 = cols
         labels = (c1 < c0).astype(np.int64)
@@ -280,8 +244,7 @@ class _NodeView:
     def sq_col(self, local: int) -> np.ndarray:
         """Clamped expansion column of squared distances to one member point."""
         pos = self.ref_position(local)
-        dot = self.ref_coords @ self.ref_coords[pos]
-        col = np.maximum(self.ref_sq - 2.0 * dot + self.ref_sq[pos], 0.0)
+        col = expansion_column(self.ref_coords, self.ref_sq, self.ref_coords[pos], self.ref_sq[pos])
         self.touched += len(self.ref_coords)
         return col if self.rows is None else col[self.rows]
 
@@ -294,55 +257,15 @@ def _seed_columns(kind, view: _NodeView, k, rng):
 
     Columns are squared distances for the kernel strategies and real axis
     distances for median seeding (the argmin is the same either way).
-    kmeans++ and farthest-sum selection reuse the columns they compute while
-    sampling, so a binary split costs two column passes total.
     """
-    n = view.n
     if kind == "median":
         node_coords = view.materialized()
         positions, axis = median_positions(node_coords, view.ids, k)
         col = node_coords[:, axis]
         cols = [np.abs(col - node_coords[p, axis]) for p in positions]
-        view.touched += 3 * n
+        view.touched += 3 * view.n
         return positions, cols, axis
-
-    if kind == "random":
-        positions = [int(i) for i in rng.choice(n, size=k, replace=False)]
-        cols = [view.sq_col(p) for p in positions]
-    elif kind == "kmeanspp":
-        first = int(rng.integers(n))
-        positions = [first]
-        cols = [view.sq_col(first)]
-        nearest = cols[0].copy()
-        while len(positions) < k:
-            if not nearest.sum() > 0:
-                distinct = len(np.unique(view.materialized(), axis=0))
-                raise ValueError(
-                    f"cannot place {k} centers: the points span only {distinct} distinct locations"
-                )
-            nxt = weighted_index(nearest, float(rng.random()))
-            positions.append(nxt)
-            cols.append(view.sq_col(nxt))
-            np.minimum(nearest, cols[-1], out=nearest)
-    elif kind == "gnat":
-        first = int(rng.integers(n))
-        positions = [first]
-        cols = [view.sq_col(first)]
-        sum_dist = np.sqrt(cols[0])
-        chosen = np.zeros(n, dtype=bool)
-        chosen[first] = True
-        while len(positions) < k:
-            masked = np.where(chosen, -np.inf, sum_dist)
-            best = masked.max()
-            candidates = np.flatnonzero(masked == best)
-            nxt = int(candidates[np.argmin(view.ids[candidates])])
-            positions.append(nxt)
-            chosen[nxt] = True
-            cols.append(view.sq_col(nxt))
-            sum_dist = sum_dist + np.sqrt(cols[-1])
-    else:
-        raise ValueError(f"unknown seeding strategy {kind!r}, expected one of {STRATEGY_KINDS}")
-
+    positions, cols = select_positions(kind, view.ids, k, rng, view.sq_col, view.materialized)
     return positions, cols, None
 
 
@@ -363,16 +286,11 @@ def build_vtree(
     seed draws and then accepted (deterministic strategies reproduce the same
     split and are accepted as-is). Reproducible from the seed.
     """
-    if isinstance(strategy, SeedStrategy):
-        kind = strategy.kind
-        if seed is None:
-            seed = strategy.seed
-    else:
-        kind = strategy
-        if kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown seeding strategy {kind!r}, expected one of {STRATEGY_KINDS}")
+    if not isinstance(strategy, SeedStrategy):
+        strategy = SeedStrategy(strategy)
+    kind = strategy.kind
     if seed is None:
-        seed = 0
+        seed = strategy.seed
     if m < 1:
         raise ValueError("m must be at least 1")
     if m > ds.n:
@@ -397,26 +315,18 @@ def build_vtree(
     needs_sqnorms = kind in ("random", "gnat", "kmeanspp")
     sqnorms = row_sqnorms(coords) if needs_sqnorms else None
     rng = make_rng(seed)
-    root = VNode(level=0, partition_id=0, members=np.arange(ds.n))
-    leaves: dict[int, VNode] = {0: root}
-    # pending leaves reference an ancestor's arrays plus row numbers; a node
-    # materializes its own rows only when it is split AND is small relative to
-    # that array, so final leaves never pay for a coordinate gather
-    arrays = {0: (coords, sqnorms, ids, None)}
-    heap: list[tuple[int, int]] = [(-ds.n, 0)]
     affected_rows = np.zeros(ds.n, dtype=bool)
-    track_affected = False
     scan = ds.n if needs_sqnorms else 0
-    next_id = 1
 
-    while len(leaves) < m:
-        _, lid = heapq.heappop(heap)
-        node = leaves.pop(lid)
-        ref_coords, ref_sq, ref_ids, rows = arrays.pop(lid)
-        view = _NodeView(ref_coords, ref_sq, ref_ids, rows, force_materialize=(kind == "median"))
+    # a pending leaf is (node, ref) where ref holds an ancestor's arrays plus
+    # row numbers; a node materializes its own rows only when it is split AND
+    # is small relative to that array, so final leaves never pay for a gather
+    def split(state, room):
+        nonlocal scan
+        node, ref = state
+        view = _NodeView(*ref, force_materialize=(kind == "median"))
         idx = node.members
-        n_node = len(idx)
-        k = min(_fanout_for(fanout_cfg, node.level), m - len(leaves), n_node)
+        k = min(_fanout_for(fanout_cfg, node.level), room, len(idx))
 
         for attempt in (0, 1):
             positions, cols, axis = _seed_columns(kind, view, k, rng)
@@ -433,31 +343,30 @@ def build_vtree(
         node.axis = axis
         if node.overlap_count:
             affected_rows[idx[aff_mask]] = True
-            track_affected = True
 
-        children = []
+        out = []
         for c in range(k):
-            pid = lid if c == 0 else next_id
-            if c > 0:
-                next_id += 1
             local_rows = np.flatnonzero(labels == c)
-            child = VNode(level=node.level + 1, partition_id=pid, members=idx[local_rows])
-            children.append(child)
-            leaves[pid] = child
-            arrays[pid] = (view.ref_coords, view.ref_sq, view.ref_ids, view.child_rows(local_rows))
-            heapq.heappush(heap, (-len(local_rows), pid))
-        node.children = tuple(children)
-        node.partition_id = None
+            child = VNode(level=node.level + 1, members=idx[local_rows])
+            child_ref = (view.ref_coords, view.ref_sq, view.ref_ids, view.child_rows(local_rows))
+            out.append(((child, child_ref), len(local_rows)))
+        node.children = tuple(child for (child, _), _ in out)
         node.members = None
-        scan += view.touched + n_node
+        scan += view.touched + len(idx)
+        return out
 
+    root = VNode(level=0, members=np.arange(ds.n))
+    leaves = split_largest_leaf((root, (coords, sqnorms, ids, None)), ds.n, m, split)
+
+    leaf_nodes = {}
     label_rows = np.empty(ds.n, dtype=np.int64)
-    for pid, leaf in leaves.items():
+    for pid, (leaf, _) in sorted(leaves.items()):
+        leaf.partition_id = pid
+        leaf_nodes[pid] = leaf
         label_rows[leaf.members] = pid
-    affected_ids = ids[affected_rows] if track_affected else ()
-    assignment = PartitionAssignment.from_arrays(m, ids, label_rows, affected_ids)
+    assignment = PartitionAssignment.from_arrays(m, ids, label_rows, ids[affected_rows])
 
-    levels = max(leaf.level for leaf in leaves.values())
+    levels = max(leaf.level for leaf in leaf_nodes.values())
     config = VTreeConfig(fanout=fanout_cfg, eps=eps, strategy=kind, partition_count=m, seed=int(seed))
     return VTree(
         levels=levels,
@@ -465,36 +374,9 @@ def build_vtree(
         leaf_assignment=assignment,
         config=config,
         scan_count=scan,
-        leaf_nodes=dict(sorted(leaves.items())),
+        leaf_nodes=leaf_nodes,
         dims=ds.dims,
-        _coords=coords,
     )
-
-
-def _attach_summaries(node: VNode, coords: np.ndarray):
-    """Bottom-up per-center summaries; returns (count, coord_sum, min, max)."""
-    if node.is_leaf:
-        if len(node.members) == 0:
-            stats = (0, None, None, None)
-        else:
-            sub = coords[node.members]
-            stats = (len(node.members), sub.sum(axis=0), sub.min(axis=0), sub.max(axis=0))
-        node.summary = (_stats_to_summary(stats),)
-        return stats
-    child_stats = [_attach_summaries(child, coords) for child in node.children]
-    node.summary = tuple(_stats_to_summary(s) for s in child_stats)
-    count = sum(s[0] for s in child_stats)
-    live = [s for s in child_stats if s[0] > 0]
-    total = sum(s[1] for s in live)
-    mins = np.min(np.stack([s[2] for s in live]), axis=0)
-    maxs = np.max(np.stack([s[3] for s in live]), axis=0)
-    return count, total, mins, maxs
-
-
-def _stats_to_summary(stats) -> CenterSummary:
-    count, total, mins, maxs = stats
-    centroid = total / count if count else None
-    return CenterSummary(count=count, centroid=centroid, bbox_min=mins, bbox_max=maxs)
 
 
 def internal_member_storage(tree: VTree) -> int:

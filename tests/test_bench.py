@@ -110,14 +110,6 @@ def test_reproducible_outputs_modulo_times():
     assert a == b
 
 
-def test_parallel_cells_match_serial():
-    serial = comparable_report(run_benchmark(tiny_config()).to_dict())
-    parallel = comparable_report(run_benchmark(tiny_config(parallel_cells=True)).to_dict())
-    serial.pop("config")
-    parallel.pop("config")
-    assert serial == parallel
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(repetitions=0)

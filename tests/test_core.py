@@ -14,7 +14,10 @@ from spacepart.core import (
     euclidean_distance,
     generate_gaussian_mixture,
     generate_uniform,
+    read_assignment_csv,
+    split_largest_leaf,
     variance_per_dimension,
+    write_assignment_csv,
 )
 
 # Clean grid-valued coordinates: distinct values differ by at least 1e-3, so
@@ -219,6 +222,62 @@ class TestAssignmentValidation:
         good.validate_against(ds)
         with pytest.raises(ValueError):
             PartitionAssignment(1, {0: 0}).validate_against(ds)
+
+
+class TestAssignmentCsv:
+    def test_rows_by_id_with_flags(self, tmp_path):
+        a = PartitionAssignment(3, {12: 2, 3: 0, 700: 1, 5: 0}, affected=[700, 3, 3])
+        path = tmp_path / "a.csv"
+        write_assignment_csv(a, path)
+        assert path.read_bytes() == b"3,0,1\n5,0,0\n12,2,0\n700,1,1\n"
+        back = read_assignment_csv(path)
+        assert back.labels == a.labels and back.affected == a.affected
+
+    def test_matches_per_row_form_across_blocks(self, tmp_path):
+        # more rows than one formatting block, ids out of order
+        rng = np.random.default_rng(4)
+        ids = rng.permutation(40_000) * 3
+        labels = rng.integers(0, 7, size=ids.size)
+        affected = ids[rng.random(ids.size) < 0.1]
+        a = PartitionAssignment.from_arrays(7, ids, labels, affected)
+        path = tmp_path / "big.csv"
+        write_assignment_csv(a, path)
+        flagged = set(affected.tolist())
+        want = "".join(f"{i},{a.labels[i]},{int(i in flagged)}\n" for i in sorted(a.labels))
+        assert path.read_text() == want
+
+
+class TestSplitLargestLeaf:
+    @staticmethod
+    def halves(log):
+        def split(items, room):
+            log.append((items, room))
+            cut = (len(items) + 1) // 2
+            return [(items[:cut], cut), (items[cut:], len(items) - cut)]
+
+        return split
+
+    def test_largest_first_ties_to_lowest_id(self):
+        log = []
+        leaves = split_largest_leaf(tuple(range(10)), 10, 4, self.halves(log))
+        assert leaves == {0: (0, 1, 2), 1: (5, 6, 7), 2: (3, 4), 3: (8, 9)}
+        # rooms: leaves still missing when each split starts
+        assert [room for _, room in log] == [4, 3, 2]
+        assert [items[0] for items, _ in log] == [0, 0, 5]
+
+    def test_wide_split_takes_consecutive_ids(self):
+        def split(items, room):
+            k = min(3, room)
+            return [(items[c::k], len(items[c::k])) for c in range(k)]
+
+        leaves = split_largest_leaf(tuple(range(12)), 12, 6, split)
+        assert sorted(leaves) == list(range(6))
+        # root -> 0, 1, 2; leaf 0 -> 0, 3, 4; leaf 1 has room for two children only -> 1, 5
+        assert leaves == {0: (0, 9), 1: (1, 7), 2: (2, 5, 8, 11), 3: (3,), 4: (6,), 5: (4, 10)}
+
+    def test_single_leaf_is_not_split(self):
+        leaves = split_largest_leaf("root", 5, 1, lambda state, room: pytest.fail("split called"))
+        assert leaves == {0: "root"}
 
 
 class TestDataset:

@@ -95,7 +95,7 @@ def test_binary_truncated_payload(tmp_path):
     save_dataset(ds, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(DatasetFormatError, match="expected"):
+    with pytest.raises(DatasetFormatError, match="payload is 120 bytes at offset 12, expected 128"):
         load_dataset(path)
 
 
@@ -115,3 +115,27 @@ def test_binary_layout_is_as_documented(tmp_path):
     assert int.from_bytes(raw[4:8], "little") == 2
     assert int.from_bytes(raw[8:12], "little") == 2
     assert np.frombuffer(raw[12:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_binary_truncated_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(MAGIC + b"\x02\x00\x00")
+    with pytest.raises(DatasetFormatError, match="truncated header, got 7 bytes, need 12"):
+        load_dataset(path, format="binary")
+
+
+def test_binary_empty_header(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(MAGIC + (0).to_bytes(4, "little") + (3).to_bytes(4, "little"))
+    with pytest.raises(DatasetFormatError, match=r"empty dataset \(0 x 3\)"):
+        load_dataset(path)
+
+
+def test_binary_non_finite_row(tmp_path):
+    coords = np.arange(12, dtype=np.float64).reshape(4, 3)
+    coords[2, 1] = np.inf
+    path = tmp_path / "inf.bin"
+    path.write_bytes(MAGIC + (4).to_bytes(4, "little") + (3).to_bytes(4, "little") + coords.astype("<f8").tobytes())
+    with pytest.raises(DatasetFormatError, match="non-finite value in point row 2"):
+        load_dataset(path)
+

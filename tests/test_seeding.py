@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spacepart.core import Dataset, euclidean_distance, make_rng
+from spacepart.vtree import build_vtree
 from spacepart.seeding import (
     SeedSet,
     SeedStrategy,
@@ -198,3 +199,19 @@ def test_common_contract(strategy):
         assert len(ids) == k == out.k
         assert len(set(ids)) == k
         assert set(ids) <= set(int(i) for i in ds.ids)
+
+
+@pytest.mark.parametrize("strategy", ["random", "gnat", "kmeanspp"])
+def test_build_picks_the_public_seeds(strategy):
+    # integer coordinates make the exact and the expansion kernel agree bit
+    # for bit, so the tree's root centers must be the public seeders' choice
+    fn = {"random": seeds_random, "gnat": seeds_gnat, "kmeanspp": seeds_kmeanspp}[strategy]
+    for case in range(50):
+        n, d = 4 + 3 * case % 57, 1 + case % 4
+        ds = integer_dataset(case, n, d)
+        for seed in (0, 5, 1234):
+            for k in (2, 3):
+                tree = build_vtree(ds, k, fanout=k, strategy=strategy, seed=seed)
+                want = fn(ds, k, seed).centers
+                assert [c.id for c in tree.root.centers] == [c.id for c in want]
+                assert all(np.array_equal(a.coords, b.coords) for a, b in zip(tree.root.centers, want))

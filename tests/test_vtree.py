@@ -146,21 +146,6 @@ class TestBuild:
         leaf_total = sum(len(leaf.members) for leaf in tree.leaf_nodes.values())
         assert leaf_total == ds.n
 
-    def test_summaries_cover_everything(self):
-        ds = random_dataset(17, 150, 3)
-        tree = build_vtree(ds, 5, strategy="gnat", seed=5)
-        assert tree.root.summary is None  # derived on demand
-        tree.ensure_summaries()
-        root = tree.root
-        counts = sum(s.count for s in root.summary)
-        assert counts == ds.n
-        mins = np.min(np.stack([s.bbox_min for s in root.summary if s.count]), axis=0)
-        maxs = np.max(np.stack([s.bbox_max for s in root.summary if s.count]), axis=0)
-        assert np.array_equal(mins, ds.coords.min(axis=0))
-        assert np.array_equal(maxs, ds.coords.max(axis=0))
-        centroid = sum(s.centroid * s.count for s in root.summary if s.count) / ds.n
-        np.testing.assert_allclose(centroid, ds.coords.mean(axis=0), rtol=1e-9)
-
     def test_affected_accumulates_across_levels(self):
         ds = random_dataset(19, 150, 2)
         tight = build_vtree(ds, 4, strategy="kmeanspp", eps=0.0, seed=7)
