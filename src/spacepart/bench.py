@@ -1,11 +1,11 @@
 """Benchmark harness: times every (scheme, dataset, m) cell and reports quality.
 
-Each cell runs the partitioner ``repetitions`` times with a monotonic clock
-around the partitioning call only (dataset generation and I/O stay outside)
-and reports the median. Partition outputs are deterministic under the
-configured seed; only the times vary. Failed cells (a grid refusing an
-infeasible cube count, for instance) are recorded with a reason and the run
-continues.
+Each cell runs the partitioner once untimed as a warmup, then ``repetitions``
+times with a monotonic clock around the partitioning call only (dataset
+generation and I/O stay outside, the GC stays off inside) and reports the
+median. Partition outputs are deterministic under the configured seed; only
+the times vary. Failed cells (a grid refusing an infeasible cube count, for
+instance) are recorded with a reason and the run continues.
 
 Reports round-trip through JSON; the CSV form is the flat table with one row
 per scheme/m and one column per dataset.
@@ -13,6 +13,7 @@ per scheme/m and one column per dataset.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -160,6 +161,25 @@ def _environment() -> dict:
     }
 
 
+def _timed_builds(build, repetitions: int):
+    """One untimed warmup build, then ``repetitions`` timed ones with the GC off.
+
+    Returns the last result and the per-build seconds.
+    """
+    result = build()
+    times = []
+    gc.disable()
+    try:
+        for _ in range(repetitions):
+            gc.collect()
+            t0 = time.perf_counter()
+            result = build()
+            times.append(time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    return result, times
+
+
 def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[str],
               m: Optional[int], cfg: BenchConfig) -> dict:
     cell = {
@@ -183,16 +203,13 @@ def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[st
             cell["grid"] = grid_stats(grid).to_dict()
             return cell
 
-        times = []
-        result = None
-        for _ in range(cfg.repetitions):
-            t0 = time.perf_counter()
-            if scheme == "kdtree":
-                result = kd_partition(ds, m, eps=cfg.eps)
-            else:
-                result = build_vtree(ds, m, fanout=cfg.fanout, strategy=strategy,
-                                     eps=cfg.eps, seed=cfg.seed)
-            times.append(time.perf_counter() - t0)
+        if scheme == "kdtree":
+            result, times = _timed_builds(lambda: kd_partition(ds, m, eps=cfg.eps), cfg.repetitions)
+        else:
+            result, times = _timed_builds(
+                lambda: build_vtree(ds, m, fanout=cfg.fanout, strategy=strategy, eps=cfg.eps, seed=cfg.seed),
+                cfg.repetitions,
+            )
         median_time = statistics.median(times)
         assignment = result.assignment if scheme == "kdtree" else result.leaf_assignment
         metrics = compute_metrics(assignment, median_time)

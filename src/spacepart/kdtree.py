@@ -1,19 +1,20 @@
 """Baseline partitioner: recursive median splits on the highest-variance dimension.
 
 Each split recomputes the per-dimension variance of the points at that node,
-finds the lower median along the argmax dimension with randomized quickselect,
-and routes points left/right with a deterministic tie rule that guarantees the
-two sides differ by at most one point. Leaves are the partitions.
+finds the lower median along the argmax dimension with ``np.partition``, and
+routes points left/right with a deterministic tie rule that guarantees the two
+sides differ by at most one point. Leaves are the partitions.
 
-The build counts every full pass over a point subset (variance, selection
-visits, routing) in ``scan_count`` so the benchmark can expose how much
-repeated scanning the scheme needs compared to a Voronoi split tree.
+``scan_count`` counts rows read: one pass each for variance, selection and
+labelling per split, plus the eps band pass when eps > 0 (at eps = 0 the band
+is the set of median ties the labelling pass already found). The benchmark
+uses it to expose how much repeated scanning the scheme needs compared to a
+Voronoi split tree.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -32,50 +33,21 @@ __all__ = [
     "kd_tree_to_json",
 ]
 
-# Fixed pivot seed keeps builds reproducible while pivots stay effectively random.
-_PIVOT_SEED = 0x5EEDED
-
-
-def _select_counted(vals: list[float], rank: int, rng: random.Random) -> tuple[float, int]:
-    """Hoare quickselect for the 0-based rank; returns (value, elements visited)."""
-    lo, hi = 0, len(vals) - 1
-    visits = 0
-    while True:
-        if lo == hi:
-            return vals[lo], visits
-        pivot = vals[rng.randrange(lo, hi + 1)]
-        i, j = lo, hi
-        while i <= j:
-            while vals[i] < pivot:
-                i += 1
-            while vals[j] > pivot:
-                j -= 1
-            if i <= j:
-                vals[i], vals[j] = vals[j], vals[i]
-                i += 1
-                j -= 1
-        visits += hi - lo + 1
-        if rank <= j:
-            hi = j
-        elif rank >= i:
-            lo = i
-        else:
-            return vals[rank], visits
-
 
 def select_rank(values, rank: int) -> float:
-    """Value at the given 0-based rank of the sorted order, in expected O(n).
+    """Value at the given 0-based rank of the sorted order of a 1-D sequence.
 
-    Randomized in-place quickselect over a working copy; the result is a pure
-    function of the input regardless of pivot choices.
+    Selection is ``np.partition`` (C introselect) on a copy of the values; the
+    result is a pure function of the input.
     """
-    vals = np.asarray(values, dtype=np.float64).tolist()
-    if not vals:
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence, got shape {vals.shape}")
+    if not len(vals):
         raise ValueError("cannot select from an empty sequence")
     if not 0 <= rank < len(vals):
         raise ValueError(f"rank {rank} out of range for {len(vals)} values")
-    value, _ = _select_counted(vals, rank, random.Random(_PIVOT_SEED ^ len(vals)))
-    return float(value)
+    return float(np.partition(vals, rank)[rank])
 
 
 def select_median(values) -> float:
@@ -129,9 +101,8 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
     if eps < 0:
         raise ValueError("eps must be non-negative")
 
-    pivot_rng = random.Random(_PIVOT_SEED)
     root: Union[KdNode, int] = 0
-    affected: set[int] = set()
+    affected_rows = np.zeros(ds.n, dtype=bool)
     scan = 0
 
     # a pending leaf references its parent's arrays plus local row numbers
@@ -151,8 +122,8 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
         split_dim = int(np.argmax(var))
         col = node_coords[:, split_dim]
 
-        median, visits = _select_counted(col.tolist(), (n_node - 1) // 2, pivot_rng)
-        scan += visits
+        median = select_median(col)
+        scan += n_node
 
         below = col < median
         eq_pos = np.flatnonzero(col == median)
@@ -165,14 +136,16 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
         tie_left_max_id = int(eq_ids[order[need - 1]]) if need > 0 else None
         scan += n_node
 
-        near = np.abs(col - median) <= eps
-        if near.any():
-            affected.update(int(i) for i in node_ids[near])
-        scan += n_node
+        if eps > 0:
+            near = np.abs(col - median) <= eps
+            scan += n_node
+        else:  # |col - median| <= 0 is exactly the tie set found above
+            near = eq_pos
+        affected_rows[idx[near]] = True
 
         node = KdNode(
             split_dim=split_dim,
-            split_value=float(median),
+            split_value=median,
             point_count=n_node,
             left=None,
             right=None,
@@ -198,7 +171,7 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
         label_rows[idx] = lid
         if slot is not None:
             setattr(*slot, lid)
-    assignment = PartitionAssignment.from_arrays(m, ds.ids, label_rows, sorted(affected))
+    assignment = PartitionAssignment.from_arrays(m, ds.ids, label_rows, ds.ids[affected_rows])
     return KdPartitionTree(
         root=root,
         leaf_count=m,

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+import spacepart.bench as bench
 from spacepart.bench import (
     BenchConfig,
     DatasetSpec,
@@ -58,6 +60,24 @@ def test_every_cell_present():
         else:
             assert sum(cell["metrics"]["sizes"]) == cell["n"]
             assert cell["counters"]["scan_count"] > 0
+
+
+def test_times_hold_one_entry_per_repetition(monkeypatch):
+    real = bench.kd_partition
+    gc_on = []
+
+    def kd_partition(*args, **kwargs):
+        gc_on.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "kd_partition", kd_partition)
+    report = run_benchmark(tiny_config(repetitions=3, schemes=("kdtree", "vtree:kmeanspp")))
+    for cell in report.cells:
+        assert len(cell["times_s"]) == 3
+        assert cell["median_time_s"] == sorted(cell["times_s"])[1]
+    # per dataset: one untimed warmup with the GC on, then 3 timed builds with it off
+    assert gc_on == [True, False, False, False] * 2
+    assert gc.isenabled()
 
 
 def test_grid_refusal_recorded_not_raised():

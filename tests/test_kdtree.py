@@ -34,6 +34,10 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_rank([1.0, 2.0], 2)
 
+    def test_rejects_2d_input(self):
+        with pytest.raises(ValueError, match="1-D"):
+            select_rank(np.zeros((3, 2)), 0)
+
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=200))
     def test_median_matches_sort(self, values):
         assert select_median(values) == sorted(values)[(len(values) - 1) // 2]
@@ -49,6 +53,19 @@ def walk_internal(node):
         yield node
         yield from walk_internal(node.left)
         yield from walk_internal(node.right)
+
+
+def walk_with_rows(node, ds, rows):
+    """Yield (node, rows of its points) by replaying the recorded routing."""
+    if not isinstance(node, KdNode):
+        return
+    yield node, rows
+    col = ds.coords[rows, node.split_dim]
+    left = col < node.split_value
+    if node.tie_left_max_id is not None:
+        left |= (col == node.split_value) & (ds.ids[rows] <= node.tie_left_max_id)
+    yield from walk_with_rows(node.left, ds, rows[left])
+    yield from walk_with_rows(node.right, ds, rows[~left])
 
 
 class TestKdPartition:
@@ -166,6 +183,44 @@ class TestKdPartition:
         levels = 3
         assert tree.scan_count >= 3 * ds.n * levels  # variance + partition + affected per level
         assert tree.scan_count <= 40 * ds.n * levels
+
+    @pytest.mark.parametrize("eps, passes", [(0.0, 3), (0.5, 4)])
+    def test_scan_count_is_rows_read(self, eps, passes):
+        # variance, selection and labelling per split, plus the band at eps > 0;
+        # each of the 3 levels of a 512-point, 8-leaf build reads all 512 rows
+        ds = random_dataset(19, 512, 4)
+        assert kd_partition(ds, 8, eps=eps).scan_count == passes * ds.n * 3
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            random_dataset(31, 300, 5),
+            Dataset(np.random.default_rng(4).integers(0, 3, size=(257, 3)).astype(float)),
+            Dataset(
+                np.random.default_rng(6).normal(size=(120, 2)),
+                ids=np.random.default_rng(7).permutation(10_000)[:120] * 7 + 3,
+            ),
+        ],
+        ids=["float", "integer-ties", "custom-ids"],
+    )
+    def test_split_value_is_sorted_lower_median(self, ds):
+        tree = kd_partition(ds, 16, eps=0.25)
+        nodes = list(walk_with_rows(tree.root, ds, np.arange(ds.n)))
+        assert len(nodes) == 15
+        for node, rows in nodes:
+            assert len(rows) == node.point_count
+            col = np.sort(ds.coords[rows, node.split_dim])
+            assert node.split_value == col[(node.point_count - 1) // 2]
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_affected_is_union_of_split_bands_with_ties(self, eps):
+        ds = Dataset(np.random.default_rng(4).integers(0, 5, size=(257, 3)).astype(float))
+        tree = kd_partition(ds, 16, eps=eps)
+        expected = set()
+        for node, rows in walk_with_rows(tree.root, ds, np.arange(ds.n)):
+            near = np.abs(ds.coords[rows, node.split_dim] - node.split_value) <= eps
+            expected.update(ds.ids[rows[near]].tolist())
+        assert tree.assignment.affected == expected
 
     def test_json_structure(self):
         ds = random_dataset(23, 32, 2)
