@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Print one sha256 over the outputs of fixed-seed builds.
+"""Print two sha256 digests: one over the outputs of fixed-seed builds, one over query answers.
 
-Run it on two checkouts; equal digests mean every covered build wrote the same
-tree JSON, the same assignment CSV bytes and the same leaf ids (or failed with
-the same message). ``scan_count`` is left out, so a change of that counter
-alone does not move the digest.
+Run it on two checkouts; equal build digests (first line) mean every covered
+build wrote the same tree JSON, the same assignment CSV bytes and the same leaf
+ids (or failed with the same message). ``scan_count`` is left out, so a change
+of that counter alone does not move the digest. Equal query digests (second
+line) mean every vtree build that did not fail answered 20 fixed probes per
+dataset with the same ``route_point_counted`` leaf and comparison count and the
+same ``affected_partitions`` set at the build's eps.
 
 Covered: kd, and vtree with random, gnat, kmeanspp and median seeding (seeds
 0 and 1), at m in {2, 5, 16} and eps in {0, 0.5}, on a float set, a set where
@@ -28,12 +31,13 @@ import numpy as np  # noqa: E402
 
 from spacepart.core import Dataset, write_assignment_csv  # noqa: E402
 from spacepart.kdtree import kd_partition, kd_tree_to_json  # noqa: E402
-from spacepart.vtree import build_vtree, vtree_to_json  # noqa: E402
+from spacepart.vtree import affected_partitions, build_vtree, route_point_counted, vtree_to_json  # noqa: E402
 
 STRATEGIES = ("random", "gnat", "kmeanspp", "median")
 SEEDS = (0, 1)
 M_VALUES = (2, 5, 16)
 EPS_VALUES = (0.0, 0.5)
+PROBES = 20
 
 
 def datasets():
@@ -45,11 +49,26 @@ def datasets():
     return {"float": floats, "duplicates": duplicates, "custom-ids": custom_ids}
 
 
+def probes(ds):
+    """Half build points, half build points moved by noise; drawn from their own generator."""
+    rng = np.random.default_rng(20160402)
+    out = ds.coords[rng.integers(ds.n, size=PROBES)]
+    out[PROBES // 2 :] += rng.normal(0.0, 0.5, size=(PROBES - PROBES // 2, ds.dims))
+    return out
+
+
 def builds():
+    """(label, build, probes, eps) per build; probes is None for kd builds, which have no query walk."""
     for name, ds in datasets().items():
+        queries = probes(ds)
         for m in M_VALUES:
             for eps in EPS_VALUES:
-                yield f"{name} kd m={m} eps={eps}", lambda ds=ds, m=m, eps=eps: kd_partition(ds, m, eps=eps)
+                yield (
+                    f"{name} kd m={m} eps={eps}",
+                    lambda ds=ds, m=m, eps=eps: kd_partition(ds, m, eps=eps),
+                    None,
+                    eps,
+                )
                 for strategy in STRATEGIES:
                     for seed in SEEDS:
                         yield (
@@ -57,6 +76,8 @@ def builds():
                             lambda ds=ds, m=m, eps=eps, s=strategy, seed=seed: build_vtree(
                                 ds, m, strategy=s, eps=eps, seed=seed
                             ),
+                            queries,
+                            eps,
                         )
 
 
@@ -69,19 +90,32 @@ def outputs(tree, csv_path) -> bytes:
     return b"\0".join([tree_json.encode(), Path(csv_path).read_bytes(), repr(leaf_ids).encode()])
 
 
+def answers(tree, queries, eps) -> bytes:
+    out = []
+    for p in queries:
+        leaf, comparisons = route_point_counted(tree, p)
+        out.append(f"{leaf}:{comparisons}:{sorted(affected_partitions(tree, p, eps))}")
+    return ";".join(out).encode()
+
+
 def main():
-    digest = hashlib.sha256()
-    count = 0
+    digest, query_digest = hashlib.sha256(), hashlib.sha256()
+    count = queried = 0
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "assignment.csv")
-        for label, build in builds():
+        for label, build, queries, eps in builds():
             try:
-                payload = outputs(build(), csv_path)
+                tree = build()
+                payload = outputs(tree, csv_path)
             except ValueError as e:
-                payload = f"error: {e}".encode()
+                tree, payload = None, f"error: {e}".encode()
             digest.update(label.encode() + b"\0" + payload + b"\n")
             count += 1
+            if tree is not None and queries is not None:
+                query_digest.update(label.encode() + b"\0" + answers(tree, queries, eps) + b"\n")
+                queried += 1
     print(f"{count} builds  sha256 {digest.hexdigest()}")
+    print(f"{queried} vtree builds x {PROBES} probes  sha256 {query_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

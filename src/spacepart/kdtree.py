@@ -38,7 +38,8 @@ def select_rank(values, rank: int) -> float:
     """Value at the given 0-based rank of the sorted order of a 1-D sequence.
 
     Selection is ``np.partition`` (C introselect) on a copy of the values; the
-    result is a pure function of the input.
+    result is a pure function of the input. A zero comes back as +0.0 whatever
+    the sign of the zero selected, so a median never depends on row order.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1:
@@ -47,7 +48,7 @@ def select_rank(values, rank: int) -> float:
         raise ValueError("cannot select from an empty sequence")
     if not 0 <= rank < len(vals):
         raise ValueError(f"rank {rank} out of range for {len(vals)} values")
-    return float(np.partition(vals, rank)[rank])
+    return float(np.partition(vals, rank)[rank]) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def select_median(values) -> float:
@@ -98,7 +99,7 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
         raise ValueError("m must be at least 1")
     if m > ds.n:
         raise ValueError(f"cannot make {m} partitions from {ds.n} points")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
 
     root: Union[KdNode, int] = 0

@@ -17,18 +17,23 @@ merged.
 Distance kernel: ``expansion_column`` computes squared distances as
 |p|^2 - 2 p.c + |c|^2 with precomputed row norms, clamped at zero. One BLAS
 column per center replaces per-center subtraction passes, which is what makes
-high-dimensional builds cheap; construction (seeding included), routing,
-boundary probes and verification all go through it. Labeller: ``_split_rows``
-turns per-center columns into labels, the affected mask and child counts, for
-the build and for public ``assign_to_centers`` alike; the latter feeds it the
-plain elementwise columns, where exact zero self-distances matter more than
-throughput. Split order (largest leaf first) comes from
+high-dimensional builds cheap; construction (seeding included) and
+verification go through it. Single-point queries (``route_point``,
+``affected_partitions``) walk the tree through ``_probe_distances``: it does the
+kernel's float operations in the kernel's order on the one probe row, with
+Python floats in place of per-node arrays, so its distances equal
+``VNode.squared_distances`` and ``distances_from`` bit for bit. Labeller:
+``_split_rows`` turns per-center columns into labels, the affected mask and
+child counts, for the build and for public ``assign_to_centers`` alike; the
+latter feeds it the plain elementwise columns, where exact zero self-distances
+matter more than throughput. Split order (largest leaf first) comes from
 ``core.split_largest_leaf``, shared with the kd-tree.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -153,7 +158,7 @@ def assign_to_centers(points, centers: Sequence[Point], eps: float = 0.0):
     centers = tuple(centers)
     if not centers:
         raise ValueError("need at least one center")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
     coords, ids = as_point_arrays(points)
     cols = [sq_column(coords, c.coords) for c in centers]
@@ -295,7 +300,7 @@ def build_vtree(
         raise ValueError("m must be at least 1")
     if m > ds.n:
         raise ValueError(f"cannot make {m} partitions from {ds.n} points")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
     if isinstance(fanout, int):
         fanout_cfg: Union[int, tuple[int, ...]] = fanout
@@ -392,22 +397,45 @@ def internal_member_storage(tree: VTree) -> int:
     return total
 
 
-def _check_point(tree: VTree, p) -> np.ndarray:
+def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:
+    """A validated probe as a (1, d) row plus its ``row_sqnorms`` value."""
     coords = p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
     if coords.shape != (tree.dims,):
         raise ValueError(f"point has shape {coords.shape}, tree expects ({tree.dims},)")
-    return coords
+    if not np.isfinite(coords).all():
+        raise ValueError("point has non-finite coordinates")
+    row = coords[None, :]
+    return row, float(row_sqnorms(row)[0])
+
+
+def _probe_distances(node: VNode, row: np.ndarray, row_sq: float, real: bool) -> list[float]:
+    """One probe's distances to a node's centers, equal bit for bit to the node kernel.
+
+    Squared distances as ``VNode.squared_distances`` gives them, or real ones
+    as ``distances_from`` does when ``real`` is set. Each center costs one
+    ``(1, d) @ (d,)`` product, the call the kernel makes for a one-row input,
+    and the clamp runs in ``expansion_column``'s order on Python floats.
+    """
+    if node.axis is not None:
+        v = float(row[0, node.axis])
+        offsets = [v - float(c.coords[node.axis]) for c in node.centers]
+        return [abs(t) for t in offsets] if real else [t * t for t in offsets]
+    sq = [
+        max(row_sq - 2.0 * float((row @ c.coords)[0]) + sq_c, 0.0)
+        for c, sq_c in zip(node.centers, node.center_sqnorms)
+    ]
+    return [math.sqrt(s) for s in sq] if real else sq
 
 
 def route_point_counted(tree: VTree, p) -> tuple[int, int]:
     """Leaf partition id for a point plus the number of distance comparisons."""
-    coords = _check_point(tree, p)
+    row, row_sq = _check_point(tree, p)
     node = tree.root
     comparisons = 0
     while not node.is_leaf:
-        dists = node.squared_distances(coords[None, :])[0]
-        comparisons += len(node.centers)
-        node = node.children[int(np.argmin(dists))]
+        dists = _probe_distances(node, row, row_sq, real=False)
+        comparisons += len(dists)
+        node = node.children[dists.index(min(dists))]  # the first minimum, as np.argmin
     return node.partition_id, comparisons
 
 
@@ -422,9 +450,9 @@ def affected_partitions(tree: VTree, p, eps: float) -> set[int]:
     Follows every center whose distance exceeds the node minimum by at most
     ``2*eps``; always contains the point's own routed leaf.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
-    coords = _check_point(tree, p)
+    row, row_sq = _check_point(tree, p)
     out: set[int] = set()
     stack = [tree.root]
     while stack:
@@ -432,8 +460,8 @@ def affected_partitions(tree: VTree, p, eps: float) -> set[int]:
         if node.is_leaf:
             out.add(node.partition_id)
             continue
-        dists = node.distances_from(coords[None, :])[0]
-        dmin = dists.min()
+        dists = _probe_distances(node, row, row_sq, real=True)
+        dmin = min(dists)
         for j, d in enumerate(dists):
             if d - dmin <= 2.0 * eps:
                 stack.append(node.children[j])

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from spacepart.cli import main
 from spacepart.dataio import load_dataset
@@ -50,6 +51,16 @@ def test_partition_kdtree(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "data.tree.json").read_text())
     assert doc["kind"] == "kdtree"
+
+
+@pytest.mark.parametrize("scheme", ["kdtree", "vtree"])
+def test_partition_rejects_nan_eps(tmp_path, capsys, scheme):
+    data = tmp_path / "data.bin"
+    run(capsys, "gen", "--uniform", "-n", "40", "-d", "2", "-o", str(data))
+    code, _, stderr = run(capsys, "partition", "--scheme", scheme, "-m", "4", "--eps", "nan", "-i", str(data))
+    assert code == 2
+    assert "eps must be non-negative" in stderr
+    assert not (tmp_path / "data.assignment.csv").exists()
 
 
 def test_grid_stats_reports_occupancy(tmp_path, capsys):

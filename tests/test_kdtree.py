@@ -38,6 +38,10 @@ class TestSelection:
         with pytest.raises(ValueError, match="1-D"):
             select_rank(np.zeros((3, 2)), 0)
 
+    @pytest.mark.parametrize("values", [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]])
+    def test_zero_median_is_positive_zero(self, values):
+        assert math.copysign(1.0, select_median(values)) == 1.0
+
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=200))
     def test_median_matches_sort(self, values):
         assert select_median(values) == sorted(values)[(len(values) - 1) // 2]
@@ -91,6 +95,20 @@ class TestKdPartition:
             kd_partition(ds, 0)
         with pytest.raises(ValueError):
             kd_partition(ds, 6)
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan")])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            kd_partition(random_dataset(0, 5, 2), 2, eps=eps)
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_zero_split_value_is_positive_zero(self, zeros):
+        # the split column holds both zeros and its lower median is one of them
+        ds = Dataset([[-2.0, 0.0], [zeros[0], 0.0], [zeros[1], 0.0], [2.0, 0.0]])
+        tree = kd_partition(ds, 2)
+        assert tree.root.split_dim == 0
+        assert math.copysign(1.0, tree.root.split_value) == 1.0
+        assert '"split_value": 0.0' in kd_tree_to_json(tree)
 
     def test_uniform_quarters(self):
         ds = random_dataset(7, 100, 2)

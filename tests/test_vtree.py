@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from spacepart.core import Dataset, Point
 from spacepart.kdtree import kd_partition
 from spacepart.vtree import (
     VNode,
+    _check_point,
+    _probe_distances,
     affected_partitions,
     assign_to_centers,
     build_vtree,
@@ -18,7 +21,7 @@ from spacepart.vtree import (
     vtree_to_json,
 )
 
-from conftest import random_dataset
+from conftest import integer_dataset, random_dataset
 
 
 def centers_2d():
@@ -110,6 +113,17 @@ class TestBuild:
             build_vtree(ds, 4, fanout=1)
         with pytest.raises(ValueError):
             build_vtree(ds, 4, strategy="sorcery")
+
+    @pytest.mark.parametrize("eps", [-0.5, float("nan")])
+    def test_rejects_bad_eps(self, eps):
+        ds = random_dataset(3, 20, 2)
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            build_vtree(ds, 2, eps=eps)
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            assign_to_centers(ds, centers_2d(), eps=eps)
+        tree = build_vtree(ds, 2, seed=0)
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            affected_partitions(tree, ds.point(0), eps)
 
     def test_deterministic(self):
         ds = random_dataset(9, 120, 8)
@@ -209,6 +223,15 @@ class TestRouting:
         with pytest.raises(ValueError):
             affected_partitions(tree, np.array([1.0, 2.0]), eps=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_probe(self, bad):
+        ds = random_dataset(43, 20, 3)
+        tree = build_vtree(ds, 4, seed=0)
+        probe = np.array([1.0, bad, 2.0])
+        for query in (route_point, route_point_counted, lambda t, p: affected_partitions(t, p, 0.5)):
+            with pytest.raises(ValueError, match="non-finite"):
+                query(tree, probe)
+
 
 def brute_force_affected(tree, coords, eps):
     """Independent multi-path enumeration over explicit root-to-leaf paths."""
@@ -255,6 +278,83 @@ class TestAffectedPartitions:
                     got = affected_partitions(tree, p, eps)
                     assert route_point(tree, p) in got
                     assert got == brute_force_affected(tree, p.coords, eps)
+
+
+def reference_route(tree, coords):
+    """Route through the batch kernel: ``VNode.squared_distances`` plus ``np.argmin``."""
+    row = np.asarray(coords, dtype=float)[None, :]
+    node, comparisons = tree.root, 0
+    while not node.is_leaf:
+        comparisons += len(node.centers)
+        node = node.children[int(np.argmin(node.squared_distances(row)[0]))]
+    return node.partition_id, comparisons
+
+
+QUERY_BUILDS = [
+    ("random", 2),
+    ("gnat", 2),
+    ("kmeanspp", 2),
+    ("median", 2),
+    ("random", (2, 4)),
+    ("gnat", (2, 4)),
+    ("kmeanspp", (2, 4)),
+]
+
+
+def build_id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def query_probes(ds, tree, seed):
+    """Build points, noisy points, every center, and the midpoint of every center pair.
+
+    On integer data the midpoints are exact, so a probe that reaches the
+    node whose centers they split is tied between them.
+    """
+    rng = np.random.default_rng(seed)
+    probes = [ds.coords[row] for row in range(0, ds.n, 3)]
+    probes += list(ds.coords[rng.integers(ds.n, size=30)] + rng.normal(0.0, 1.0, size=(30, ds.dims)))
+    for node in internal_nodes(tree.root):
+        probes += [c.coords for c in node.centers]
+        probes += [(a.coords + b.coords) / 2.0 for a, b in itertools.combinations(node.centers, 2)]
+    return probes
+
+
+class TestQueryWalk:
+    """The per-probe walk against reference walks through the batch node kernel."""
+
+    @pytest.mark.parametrize("data", ["float", "integer"])
+    @pytest.mark.parametrize("strategy,fanout", QUERY_BUILDS, ids=build_id)
+    def test_route_and_affected_match_reference_walks(self, data, strategy, fanout):
+        ds = random_dataset(73, 300, 5) if data == "float" else integer_dataset(79, 300, 4)
+        ties = 0
+        for m in (2, 7, 64):
+            tree = build_vtree(ds, m, fanout=fanout, strategy=strategy, seed=m)
+            assert (strategy == "median") == all(n.axis is not None for n in internal_nodes(tree.root))
+            for p in query_probes(ds, tree, m):
+                assert route_point_counted(tree, p) == reference_route(tree, p)
+                for eps in (0.0, 0.5):
+                    got = affected_partitions(tree, p, eps)
+                    assert got == brute_force_affected(tree, p, eps)
+                    if eps == 0.0 and len(got) > 1:
+                        ties += 1
+        if data == "integer":
+            assert ties > 0  # exact midpoints did reach their nodes
+
+    @pytest.mark.parametrize("data", ["float", "integer"])
+    @pytest.mark.parametrize("strategy,fanout", QUERY_BUILDS, ids=build_id)
+    def test_probe_distances_equal_node_kernel_bit_for_bit(self, data, strategy, fanout):
+        # 37 float dimensions: sums whose rounding depends on the order of the products
+        ds = random_dataset(83, 200, 37) if data == "float" else integer_dataset(83, 200, 6)
+        tree = build_vtree(ds, 16, fanout=fanout, strategy=strategy, seed=5)
+        probes = query_probes(ds, tree, 5)[::4]
+        for node in internal_nodes(tree.root):
+            for p in probes:
+                row, row_sq = _check_point(tree, p)
+                squared = np.array(_probe_distances(node, row, row_sq, real=False))
+                real = np.array(_probe_distances(node, row, row_sq, real=True))
+                assert squared.tobytes() == node.squared_distances(row)[0].tobytes()
+                assert real.tobytes() == node.distances_from(row)[0].tobytes()
 
 
 class TestMergeOrder:
