@@ -1,14 +1,17 @@
-"""Hashed n-cube grid index: equal-width binning with a sparse occupancy map.
+"""Hashed n-cube grid index: equal-width binning with a sorted occupancy table.
 
 The bounding box is cut into ``(k*y + 1)`` equal intervals per dimension,
-giving ``(k*y + 1)**dims`` cubes. Each point hashes to exactly one cube in a
-single pass; per-cube membership and counts support an approximate median that
-walks cube slabs instead of sorting the data.
+giving ``(k*y + 1)**dims`` cubes. One hash maps each point to exactly one cube,
+for the build (all rows in a single pass) and for ``locate_cube`` alike. The
+build sorts the rows by cube into one table: the occupied cubes, the rows they
+hold and an offset per cube. Cube loads are the differences of the offsets,
+and the approximate median counts points per cube slab, then selects among
+the stopping slab's points only instead of sorting the data.
 
 Cube count grows exponentially with dimensionality, so construction refuses
 configurations whose total cube count exceeds a hard cap. The refusal error
 carries the exact count so callers can report the blow-up instead of crashing.
-Occupancy is stored sparsely; `grid_stats` measures how empty the dense cube
+Only occupied cubes are stored; `grid_stats` measures how empty the dense cube
 space would be, which is the scheme's practical failure mode at high d.
 """
 
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +32,6 @@ __all__ = [
     "GridStats",
     "build_grid",
     "locate_cube",
-    "flatten_cells",
-    "unflatten_index",
     "grid_find_median",
     "grid_stats",
 ]
@@ -97,60 +97,46 @@ class GridConfig:
         return self.cubes_per_dim**self.dims
 
 
-def flatten_cells(cells: Sequence[int], cubes_per_dim: int) -> int:
-    """Row-major flattening: sum of cells[j] * cubes_per_dim**j, dimension 0 first."""
-    flat = 0
-    stride = 1
-    for c in cells:
-        if not 0 <= c < cubes_per_dim:
-            raise ValueError(f"cell index {c} out of range [0, {cubes_per_dim})")
-        flat += int(c) * stride
-        stride *= cubes_per_dim
-    return flat
-
-
-def unflatten_index(flat: int, cubes_per_dim: int, dims: int) -> tuple[int, ...]:
-    if not 0 <= flat < cubes_per_dim**dims:
-        raise ValueError(f"flat index {flat} out of range")
-    cells = []
-    for _ in range(dims):
-        cells.append(flat % cubes_per_dim)
-        flat //= cubes_per_dim
-    return tuple(cells)
-
-
 class GridIndex:
     """Immutable occupancy index over a dataset's own bounding box.
 
-    ``occupancy`` maps flattened cube index to the row positions of member
-    points (ascending). ``build_passes`` counts full sweeps over the point set
-    during construction; the build hashes every point exactly once.
+    Occupancy is one table sorted by cube: ``cubes`` holds the occupied flat
+    cube indices in ascending order, ``rows`` the dataset rows grouped by cube
+    (ascending within a cube), and cube ``cubes[i]`` owns
+    ``rows[starts[i]:starts[i+1]]``. ``build_passes`` counts full sweeps over
+    the point set during construction; the build hashes every point exactly
+    once.
     """
 
-    __slots__ = ("config", "dataset", "mins", "maxs", "widths", "occupancy", "build_passes")
+    __slots__ = ("config", "dataset", "mins", "maxs", "widths", "cubes", "rows", "starts", "build_passes")
 
-    def __init__(self, config: GridConfig, dataset: Dataset, mins, maxs, widths, occupancy, build_passes):
+    def __init__(self, config: GridConfig, dataset: Dataset, mins, maxs, widths, cubes, rows, starts, build_passes):
         self.config = config
         self.dataset = dataset
         self.mins = mins
         self.maxs = maxs
         self.widths = widths
-        self.occupancy = occupancy
+        self.cubes = cubes
+        self.rows = rows
+        self.starts = starts
         self.build_passes = build_passes
 
     @property
     def occupied_cubes(self) -> int:
-        return len(self.occupancy)
+        return len(self.cubes)
 
-    @property
-    def bounds(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(lo), float(hi)) for lo, hi in zip(self.mins, self.maxs))
 
-    def cube_count(self, flat: int) -> int:
-        return len(self.occupancy.get(flat, ()))
+def _hash(coords: np.ndarray, mins: np.ndarray, widths: np.ndarray, cubes: int) -> np.ndarray:
+    """Flat cube index of each in-bounds row: row-major, dimension 0 first.
 
-    def member_ids(self, flat: int) -> np.ndarray:
-        return self.dataset.ids[self.occupancy[flat]]
+    Max-boundary values clamp into the last cube; a zero-width dimension puts
+    every row in cell 0.
+    """
+    safe = np.where(widths > 0, widths, 1.0)
+    cells = np.floor((coords - mins) / safe).astype(np.int64)
+    cells[:, widths == 0] = 0
+    np.clip(cells, 0, cubes - 1, out=cells)
+    return cells @ (cubes ** np.arange(coords.shape[1], dtype=np.int64))
 
 
 def build_grid(ds: Dataset, cfg: GridConfig) -> GridIndex:
@@ -159,44 +145,29 @@ def build_grid(ds: Dataset, cfg: GridConfig) -> GridIndex:
         raise ValueError(f"grid config is for {cfg.dims} dims, dataset has {ds.dims}")
     mins = ds.coords.min(axis=0)
     maxs = ds.coords.max(axis=0)
-    cubes = cfg.cubes_per_dim
-    widths = (maxs - mins) / cubes
-
-    safe = np.where(widths > 0, widths, 1.0)
-    cells = np.floor((ds.coords - mins) / safe).astype(np.int64)
-    cells[:, widths == 0] = 0
-    np.clip(cells, 0, cubes - 1, out=cells)
-    strides = cubes ** np.arange(ds.dims, dtype=np.int64)
-    flat = cells @ strides
-
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    uniq, starts = np.unique(sorted_flat, return_index=True)
-    occupancy: dict[int, np.ndarray] = {}
-    boundaries = list(starts) + [len(order)]
-    for i, key in enumerate(uniq):
-        members = np.sort(order[boundaries[i] : boundaries[i + 1]])
-        occupancy[int(key)] = members
-    return GridIndex(cfg, ds, mins, maxs, widths, occupancy, build_passes=1)
+    widths = (maxs - mins) / cfg.cubes_per_dim
+    flat = _hash(ds.coords, mins, widths, cfg.cubes_per_dim)
+    rows = np.argsort(flat, kind="stable")
+    cubes, starts = np.unique(flat[rows], return_index=True)
+    return GridIndex(cfg, ds, mins, maxs, widths, cubes, rows, np.append(starts, ds.n), build_passes=1)
 
 
 def locate_cube(p, grid: GridIndex) -> int:
     """Flattened cube index of a point; max-boundary points belong to the last cube.
 
-    Points outside the grid's bounds are a hard error: grids are built from the
-    dataset's own bounds, so an out-of-bounds point signals misuse.
+    Points outside the grid's bounds, NaN included, are a hard error: grids
+    are built from the dataset's own bounds, so such a point signals misuse.
     """
     coords = p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
     if coords.shape != (grid.config.dims,):
         raise ValueError(f"point has shape {coords.shape}, grid expects ({grid.config.dims},)")
-    cubes = grid.config.cubes_per_dim
-    cells = []
-    for j, (v, lo, hi, w) in enumerate(zip(coords, grid.mins, grid.maxs, grid.widths)):
-        if v < lo or v > hi:
-            raise ValueError(f"coordinate {v} outside grid bounds [{lo}, {hi}] in dimension {j}")
-        c = 0 if w == 0 else min(int((v - lo) / w), cubes - 1)
-        cells.append(c)
-    return flatten_cells(cells, cubes)
+    outside = ~((coords >= grid.mins) & (coords <= grid.maxs))
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise ValueError(
+            f"coordinate {coords[j]} outside grid bounds [{grid.mins[j]}, {grid.maxs[j]}] in dimension {j}"
+        )
+    return int(_hash(coords[None, :], grid.mins, grid.widths, grid.config.cubes_per_dim)[0])
 
 
 def grid_find_median(grid: GridIndex, dim: int) -> float:
@@ -210,30 +181,16 @@ def grid_find_median(grid: GridIndex, dim: int) -> float:
     """
     if not 0 <= dim < grid.config.dims:
         raise ValueError(f"dimension {dim} out of range")
-    if not grid.occupancy:
-        raise ValueError("grid is empty")
     cubes = grid.config.cubes_per_dim
-    stride = cubes**dim
-
-    slab_counts = np.zeros(cubes, dtype=np.int64)
-    for flat, members in grid.occupancy.items():
-        slab_counts[(flat // stride) % cubes] += len(members)
-
-    total = int(slab_counts.sum())
-    rank = (total + 1) // 2
-    cum = 0
-    stop = 0
-    for s in range(cubes):
-        if cum + slab_counts[s] >= rank:
-            stop = s
-            break
-        cum += int(slab_counts[s])
-
-    positions = np.concatenate(
-        [members for flat, members in grid.occupancy.items() if (flat // stride) % cubes == stop]
-    )
+    slabs = (grid.cubes // cubes**dim) % cubes
+    loads = np.diff(grid.starts)
+    through = np.cumsum(np.bincount(slabs, weights=loads, minlength=cubes).astype(np.int64))
+    rank = (grid.dataset.n + 1) // 2
+    stop = int(np.searchsorted(through, rank))
+    before = int(through[stop - 1]) if stop else 0
+    positions = grid.rows[np.repeat(slabs == stop, loads)]
     values = grid.dataset.coords[positions, dim]
-    return select_rank(values, rank - cum - 1)
+    return select_rank(values, rank - before - 1)
 
 
 @dataclass(frozen=True)
@@ -262,14 +219,14 @@ class GridStats:
 
 
 def grid_stats(grid: GridIndex) -> GridStats:
-    loads = [len(v) for v in grid.occupancy.values()]
+    loads = np.diff(grid.starts)
     occupied = len(loads)
     total = grid.config.total_cubes
     return GridStats(
         total_cubes=total,
         occupied=occupied,
         empty=total - occupied,
-        max_load=max(loads),
-        mean_nonzero_load=sum(loads) / occupied,
+        max_load=int(loads.max()),
+        mean_nonzero_load=int(loads.sum()) / occupied,
         occupied_fraction=occupied / total,
     )

@@ -92,9 +92,6 @@ class VNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def center_matrix(self) -> np.ndarray:
-        return np.stack([c.coords for c in self.centers])
-
     def squared_distances(self, coords: np.ndarray, sqnorms: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-center squared distances, one expansion column per center.
 
@@ -125,7 +122,7 @@ class VNode:
 
 @dataclass(frozen=True)
 class VTreeConfig:
-    fanout: Union[int, tuple[int, ...]]
+    fanout: int
     eps: float
     strategy: str
     partition_count: int
@@ -165,12 +162,6 @@ def assign_to_centers(points, centers: Sequence[Point], eps: float = 0.0):
     labels, affected, _ = _split_rows(cols, None, eps, len(centers))
     per_center = [[int(i) for i in ids[labels == c]] for c in range(len(centers))]
     return per_center, {int(i) for i in ids[affected]}
-
-
-def _fanout_for(fanout, level: int) -> int:
-    if isinstance(fanout, int):
-        return fanout
-    return fanout[min(level, len(fanout) - 1)]
 
 
 def _split_rows(cols, axis, eps: float, k: int):
@@ -277,7 +268,7 @@ def _seed_columns(kind, view: _NodeView, k, rng):
 def build_vtree(
     ds: Dataset,
     m: int,
-    fanout: Union[int, Sequence[int]] = 2,
+    fanout: int = 2,
     strategy: Union[str, SeedStrategy] = "kmeanspp",
     eps: float = 0.0,
     seed: Optional[int] = None,
@@ -285,11 +276,11 @@ def build_vtree(
     """Grow a Voronoi split tree until the dataset is cut into m leaf partitions.
 
     Always splits the currently largest leaf (ties: lowest partition id). The
-    requested fanout may be a single value or a per-level schedule; the last
-    split shrinks its fanout when fewer children are needed to reach exactly m
-    leaves. A split that produces an empty child is retried once with fresh
-    seed draws and then accepted (deterministic strategies reproduce the same
-    split and are accepted as-is). Reproducible from the seed.
+    last split shrinks its fanout when fewer children are needed to reach
+    exactly m leaves. A split that produces an empty child is retried once
+    with fresh seed draws and then accepted (deterministic strategies
+    reproduce the same split and are accepted as-is). Reproducible from the
+    seed.
     """
     if not isinstance(strategy, SeedStrategy):
         strategy = SeedStrategy(strategy)
@@ -302,17 +293,9 @@ def build_vtree(
         raise ValueError(f"cannot make {m} partitions from {ds.n} points")
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
-    if isinstance(fanout, int):
-        fanout_cfg: Union[int, tuple[int, ...]] = fanout
-        fanout_values = (fanout,)
-    else:
-        fanout_cfg = tuple(int(f) for f in fanout)
-        if not fanout_cfg:
-            raise ValueError("fanout schedule must not be empty")
-        fanout_values = fanout_cfg
-    if any(f < 2 for f in fanout_values):
+    if fanout < 2:
         raise ValueError("fanout must be at least 2")
-    if kind == "median" and any(f != 2 for f in fanout_values):
+    if kind == "median" and fanout != 2:
         raise ValueError("median seeding requires fanout 2")
 
     coords = ds.coords
@@ -331,7 +314,7 @@ def build_vtree(
         node, ref = state
         view = _NodeView(*ref, force_materialize=(kind == "median"))
         idx = node.members
-        k = min(_fanout_for(fanout_cfg, node.level), room, len(idx))
+        k = min(fanout, room, len(idx))
 
         for attempt in (0, 1):
             positions, cols, axis = _seed_columns(kind, view, k, rng)
@@ -372,7 +355,7 @@ def build_vtree(
     assignment = PartitionAssignment.from_arrays(m, ids, label_rows, ids[affected_rows])
 
     levels = max(leaf.level for leaf in leaf_nodes.values())
-    config = VTreeConfig(fanout=fanout_cfg, eps=eps, strategy=kind, partition_count=m, seed=int(seed))
+    config = VTreeConfig(fanout=fanout, eps=eps, strategy=kind, partition_count=m, seed=int(seed))
     return VTree(
         levels=levels,
         root=root,
@@ -398,14 +381,22 @@ def internal_member_storage(tree: VTree) -> int:
 
 
 def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:
-    """A validated probe as a (1, d) row plus its ``row_sqnorms`` value."""
+    """A validated probe as a (1, d) row plus its ``row_sqnorms`` value.
+
+    Coordinates and the squared norm must be finite: with an infinite norm
+    every distance is inf, routing falls to child 0 and the margin test
+    (inf - inf) follows no child.
+    """
     coords = p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
     if coords.shape != (tree.dims,):
         raise ValueError(f"point has shape {coords.shape}, tree expects ({tree.dims},)")
     if not np.isfinite(coords).all():
         raise ValueError("point has non-finite coordinates")
     row = coords[None, :]
-    return row, float(row_sqnorms(row)[0])
+    row_sq = float(row_sqnorms(row)[0])
+    if not math.isfinite(row_sq):
+        raise ValueError("point's squared norm overflows float64")
+    return row, row_sq
 
 
 def _probe_distances(node: VNode, row: np.ndarray, row_sq: float, real: bool) -> list[float]:
@@ -536,7 +527,7 @@ def vtree_to_dict(tree: VTree) -> dict:
     return {
         "kind": "vtree",
         "m": cfg.partition_count,
-        "fanout": list(cfg.fanout) if isinstance(cfg.fanout, tuple) else cfg.fanout,
+        "fanout": cfg.fanout,
         "eps": cfg.eps,
         "strategy": cfg.strategy,
         "seed": cfg.seed,

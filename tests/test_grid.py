@@ -10,11 +10,9 @@ from spacepart.grid import (
     GridConfig,
     GridFeasibilityError,
     build_grid,
-    flatten_cells,
     grid_find_median,
     grid_stats,
     locate_cube,
-    unflatten_index,
 )
 
 from conftest import random_dataset
@@ -76,24 +74,27 @@ class TestLocate:
         with pytest.raises(ValueError, match="dimension 0"):
             locate_cube((-0.1, 5.0), grid)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coordinate_is_an_error(self, bad):
+        _, grid = self._corner_grid()
+        with pytest.raises(ValueError, match="dimension 1"):
+            locate_cube((5.0, bad), grid)
+
     def test_degenerate_dimension(self):
         ds = Dataset([[1.0, 5.0], [2.0, 5.0]])
         grid = build_grid(ds, GridConfig(1, 1, dims=2))
         assert locate_cube((1.5, 5.0), grid) in (0, 1)
-
-    @given(st.integers(1, 4), st.integers(2, 5), st.data())
-    def test_flatten_unflatten_bijection(self, dims, cubes, data):
-        flat = data.draw(st.integers(0, cubes**dims - 1))
-        cells = unflatten_index(flat, cubes, dims)
-        assert flatten_cells(cells, cubes) == flat
-        assert all(0 <= c < cubes for c in cells)
 
 
 class TestBuild:
     def test_counts_partition_the_dataset(self):
         ds = random_dataset(1, 500, 3)
         grid = build_grid(ds, GridConfig(2, 2, dims=3))
-        assert sum(len(v) for v in grid.occupancy.values()) == 500
+        assert np.all(np.diff(grid.cubes) > 0)
+        assert grid.starts[0] == 0 and grid.starts[-1] == 500
+        assert np.array_equal(np.sort(grid.rows), np.arange(500))
+        for start, end in zip(grid.starts[:-1], grid.starts[1:]):
+            assert np.all(np.diff(grid.rows[start:end]) > 0)
         assert grid.build_passes == 1
 
     def test_every_point_is_where_locate_says(self):
@@ -101,12 +102,29 @@ class TestBuild:
         grid = build_grid(ds, GridConfig(3, 1, dims=2))
         for row in range(ds.n):
             flat = locate_cube(ds.coords[row], grid)
-            assert row in grid.occupancy[flat]
+            i = int(np.searchsorted(grid.cubes, flat))
+            assert grid.cubes[i] == flat
+            assert row in grid.rows[grid.starts[i] : grid.starts[i + 1]]
 
     def test_dims_mismatch(self):
         ds = random_dataset(3, 10, 2)
         with pytest.raises(ValueError):
             build_grid(ds, GridConfig(1, 1, dims=3))
+
+
+def slab_walk_oracle(values, cubes):
+    """Slab-walk median along one coordinate column, computed without the grid."""
+    lo, hi = values.min(), values.max()
+    width = (hi - lo) / cubes
+    if width == 0:
+        slab = np.zeros(len(values), dtype=np.int64)
+    else:
+        slab = np.clip(np.floor((values - lo) / width), 0, cubes - 1).astype(np.int64)
+    rank = (len(values) + 1) // 2
+    through = np.cumsum(np.bincount(slab, minlength=cubes))
+    stop = int(np.argmax(through >= rank))
+    before = int(through[stop - 1]) if stop else 0
+    return np.sort(values[slab == stop])[rank - before - 1]
 
 
 def sort_median_rank(values, v):
@@ -153,6 +171,23 @@ class TestSlabMedian:
         max_slab = int(np.bincount(slab.astype(int), minlength=cubes).max())
         distance = 0 if first <= target <= last else min(abs(first - target), abs(last - target))
         assert distance <= max_slab
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 200),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_equals_slab_walk_oracle(self, seed, n, d, y, k, ties):
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(0, 5, size=(n, d)).astype(float) if ties else rng.uniform(-10, 10, size=(n, d))
+        if d == 3:
+            coords[:, 2] = 1.5  # a zero-width dimension
+        grid = build_grid(Dataset(coords), GridConfig(y, k, dims=d))
+        for dim in range(d):
+            assert grid_find_median(grid, dim) == slab_walk_oracle(coords[:, dim], grid.config.cubes_per_dim)
 
     def test_empty_grid_impossible_but_bad_dim_errors(self):
         ds = random_dataset(5, 10, 2)
