@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import BenchConfig, DatasetSpec, emit_report, run_benchmark, standard_grid
+from .bench import BenchConfig, DatasetSpec, emit_report, parse_scheme, run_benchmark, standard_grid
 from .core import compute_metrics, generate_gaussian_mixture, generate_uniform, read_assignment_csv, write_assignment_csv
 from .dataio import DatasetFormatError, load_dataset, save_dataset
 from .grid import GridConfig, GridFeasibilityError, build_grid, grid_stats
@@ -34,6 +34,31 @@ class _Parser(argparse.ArgumentParser):
     # runtime failures, so parser errors are rethrown and mapped to exit 1.
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+
+def _comma_list(check):
+    """An argparse ``type`` that checks each item of a comma list: a bad one is a usage error naming it."""
+
+    def parse(text: str) -> str:
+        for token in (t.strip() for t in text.split(",")):
+            try:
+                check(token)
+            except ValueError as e:
+                raise argparse.ArgumentTypeError(f"bad item {token!r}: {e}") from None
+        return text
+
+    return parse
+
+
+def _count(token: str) -> None:
+    if not (token.isdecimal() and int(token) > 0):
+        raise ValueError("expected a positive integer")
+
+
+def _size(token: str) -> None:
+    n, _, d = token.lower().partition("x")
+    if not (n.isdecimal() and d.isdecimal() and int(n) > 0 and int(d) > 0):
+        raise ValueError("expected <n>x<d> with positive n and d")
 
 
 def _build_parser() -> _Parser:
@@ -71,12 +96,13 @@ def _build_parser() -> _Parser:
     part.add_argument("--id-column", type=int, default=None, help="input CSV column holding point ids")
 
     bench = sub.add_parser("bench", help="run the benchmark grid and emit reports")
-    bench.add_argument("--datasets", default=None,
+    bench.add_argument("--datasets", type=_comma_list(_size), default=None,
                        help="comma list like 1500x1024,4000x1024 (default: the standard grid)")
     bench.add_argument("--data", choices=("uniform", "mixture"), default="mixture")
-    bench.add_argument("--schemes", default="kdtree,vtree:kmeanspp,vtree:median",
+    bench.add_argument("--schemes", type=_comma_list(parse_scheme),
+                       default="kdtree,vtree:kmeanspp,vtree:median",
                        help="comma list of kdtree, vtree:<strategy>, grid-stats")
-    bench.add_argument("-m", default="8", help="comma list of partition counts")
+    bench.add_argument("-m", type=_comma_list(_count), default="8", help="comma list of partition counts")
     bench.add_argument("--eps", type=float, default=0.0)
     bench.add_argument("--fanout", type=int, default=2)
     bench.add_argument("--reps", type=int, default=5)

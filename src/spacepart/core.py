@@ -341,29 +341,86 @@ def balance_floor(n: int, m: int) -> float:
     return math.ceil(n / m) * m / n
 
 
-def split_largest_leaf(root_state, n: int, m: int, split) -> dict:
+class NodeRows:
+    """One node's points, as ``rows`` of the arrays of its nearest gathered ancestor.
+
+    That reference is ``coords``, ``sqnorms`` (or None), ``ids`` and ``index``
+    (dataset row numbers); ``rows`` is None when the node owns all of it. A
+    node spanning at least half of its reference is read in place (a pass over
+    the reference, cut down by ``take``, costs less than a copy); a smaller
+    one gathers when it is split, and ``gather`` makes any node gather.
+    Children of a gathered node reference its copy.
+    """
+
+    __slots__ = ("coords", "sqnorms", "ids", "index", "rows")
+
+    def __init__(self, coords, sqnorms, ids, index, rows=None):
+        self.coords, self.sqnorms, self.ids, self.index, self.rows = coords, sqnorms, ids, index, rows
+
+    @property
+    def n(self) -> int:
+        return len(self.index if self.rows is None else self.rows)
+
+    def gather(self) -> "NodeRows":
+        """Copy the node's rows out of its reference; the copy becomes the reference."""
+        if self.rows is not None:
+            arrays = (self.coords, self.sqnorms, self.ids, self.index)
+            self.coords, self.sqnorms, self.ids, self.index = map(self.take, arrays)
+            self.rows = None
+        return self
+
+    def take(self, values):
+        """A per-reference-row array (a pass over the reference) cut down to the node."""
+        return values if self.rows is None or values is None else values[self.rows]
+
+    def ref_row(self, local: int) -> int:
+        return int(local if self.rows is None else self.rows[local])
+
+    def dataset_rows(self, local=slice(None)) -> np.ndarray:
+        return self.index[local if self.rows is None else self.rows[local]]
+
+    def child(self, local: np.ndarray) -> "NodeRows":
+        rows = local if self.rows is None else self.rows[local]
+        return NodeRows(self.coords, self.sqnorms, self.ids, self.index, rows)
+
+
+def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
     """The split loop of both trees: grow m leaves, always splitting the largest.
 
-    A leaf is an opaque state plus its point count. ``split(state, room)`` cuts
-    one leaf into at least two and at most ``room`` children (``room`` is how
-    many leaves are still missing, counting the one being split) and returns
-    their ``(state, size)`` pairs. Ties between equally large leaves go to the
-    lowest leaf id; child 0 keeps its parent's id and the others take the next
-    unused ids. Returns the final ``{leaf id: state}``.
+    Owns the node rows (``NodeRows`` over the dataset's arrays), the affected
+    mask and the labels; a builder only cuts one node. ``split(tag, node,
+    room)`` cuts a leaf into 2 to ``room`` children (``room`` counts the
+    leaves still missing, this one included) and returns per-row child
+    labels, the affected node rows (mask or positions) and one tag per child.
+    Ties between equally large leaves go to the lowest leaf id; child 0 keeps
+    its parent's id, the others take the next unused ids. Returns ``{leaf id:
+    (tag, dataset rows)}``, every dataset row's leaf id and the affected mask.
     """
-    leaves = {0: root_state}
+    n = len(ids)
+    affected = np.zeros(n, dtype=bool)
+    leaves = {0: (root_tag, NodeRows(coords, sqnorms, ids, np.arange(n)))}
     heap = [(-n, 0)]
     next_id = 1
     while len(leaves) < m:
         _, lid = heapq.heappop(heap)
-        state = leaves.pop(lid)
-        children = split(state, m - len(leaves))
-        for c, (child, size) in enumerate(children):
+        tag, node = leaves.pop(lid)
+        if node.rows is not None and 2 * len(node.rows) < len(node.index):
+            node.gather()
+        child_labels, aff, tags = split(tag, node, m - len(leaves))
+        affected[node.dataset_rows(aff)] = True
+        for c, child_tag in enumerate(tags):
             pid = lid if c == 0 else next_id + c - 1
-            leaves[pid] = child
-            heapq.heappush(heap, (-size, pid))
-        next_id += len(children) - 1
-    return leaves
+            child = node.child(np.flatnonzero(child_labels == c))
+            leaves[pid] = (child_tag, child)
+            heapq.heappush(heap, (-child.n, pid))
+        next_id += len(tags) - 1
+        del node, child, child_labels, aff  # free this split's arrays before the next split runs
+    labels = np.empty(n, dtype=np.int64)
+    for lid, (tag, node) in leaves.items():
+        rows = node.dataset_rows()
+        labels[rows] = lid
+        leaves[lid] = (tag, rows)  # drops the leaf's hold on its reference arrays
+    return leaves, labels, affected
 
 
 # rows formatted per write, so the text of a whole file is never in memory at once
@@ -384,6 +441,7 @@ def write_assignment_csv(assignment: PartitionAssignment, path) -> None:
 
 
 def read_assignment_csv(path) -> PartitionAssignment:
+    """Read `point-id,partition-id,affected-flag` rows; malformed rows raise with their line."""
     labels: dict[int, int] = {}
     affected = []
     with open(path, "r", encoding="utf-8") as f:
@@ -391,10 +449,18 @@ def read_assignment_csv(path) -> PartitionAssignment:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             parts = line.split(",")
             if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-            pt, part, flag = (int(x) for x in parts)
+                raise ValueError(f"{where}: expected 3 fields, got {len(parts)}")
+            try:
+                pt, part, flag = (int(x) for x in parts)
+            except ValueError:
+                raise ValueError(f"{where}: expected three integers, got {line!r}") from None
+            if pt in labels:
+                raise ValueError(f"{where}: point id {pt} appears twice")
+            if flag not in (0, 1):
+                raise ValueError(f"{where}: affected flag must be 0 or 1, got {flag}")
             labels[pt] = part
             if flag:
                 affected.append(pt)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Union
 
 import numpy as np
@@ -94,6 +95,9 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
     exist; every split halves its node to within one point. A point is
     affected when it lies within ``eps`` of any split hyperplane on its own
     root-to-leaf path.
+
+    ``core.split_largest_leaf`` runs the loop and owns the rows; each split
+    here gathers one node, cuts it at the median and hangs it from its slot.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -102,84 +106,49 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
 
-    root: Union[KdNode, int] = 0
-    affected_rows = np.zeros(ds.n, dtype=bool)
+    top = SimpleNamespace(root=0)  # the slot the root hangs from
     scan = 0
 
-    # a pending leaf references its parent's arrays plus local row numbers
-    # (rows materialize only when the leaf is actually split, so final leaves
-    # never pay for a coordinate gather) and the parent slot it hangs from
-    def split(state, room):
-        nonlocal root, scan
-        parent_coords, parent_ids, idx, rows, slot = state
-        if rows is None:
-            node_coords, node_ids = parent_coords, parent_ids
-        else:
-            node_coords, node_ids = parent_coords[rows], parent_ids[rows]
-        n_node = len(idx)
+    def split(slot, node, room):
+        nonlocal scan
+        coords = node.gather().coords
+        n_node = len(coords)
 
-        var = node_coords.var(axis=0)
-        scan += n_node
-        split_dim = int(np.argmax(var))
-        col = node_coords[:, split_dim]
-
+        split_dim = int(np.argmax(coords.var(axis=0)))
+        col = coords[:, split_dim]
         median = select_median(col)
-        scan += n_node
 
-        below = col < median
+        left_mask = col < median
         eq_pos = np.flatnonzero(col == median)
-        target = (n_node + 1) // 2
-        need = target - int(below.sum())
-        eq_ids = node_ids[eq_pos]
+        need = (n_node + 1) // 2 - int(left_mask.sum())
+        eq_ids = node.ids[eq_pos]
         order = np.argsort(eq_ids, kind="stable")
-        left_mask = below.copy()
         left_mask[eq_pos[order[:need]]] = True
         tie_left_max_id = int(eq_ids[order[need - 1]]) if need > 0 else None
-        scan += n_node
+        scan += 3 * n_node  # variance, selection, labelling
 
         if eps > 0:
             near = np.abs(col - median) <= eps
             scan += n_node
         else:  # |col - median| <= 0 is exactly the tie set found above
             near = eq_pos
-        affected_rows[idx[near]] = True
 
-        node = KdNode(
-            split_dim=split_dim,
-            split_value=median,
-            point_count=n_node,
-            left=None,
-            right=None,
-            tie_left_max_id=tie_left_max_id,
-        )
-        if slot is None:
-            root = node
-        else:
-            setattr(*slot, node)
-        left_rows = np.flatnonzero(left_mask)
-        right_rows = np.flatnonzero(~left_mask)
-        return [
-            ((node_coords, node_ids, idx[left_rows], left_rows, (node, "left")), len(left_rows)),
-            ((node_coords, node_ids, idx[right_rows], right_rows, (node, "right")), len(right_rows)),
-        ]
+        kd_node = KdNode(split_dim=split_dim, split_value=median, point_count=n_node,
+                         left=None, right=None, tie_left_max_id=tie_left_max_id)
+        setattr(*slot, kd_node)
+        return ~left_mask, near, [(kd_node, "left"), (kd_node, "right")]
 
-    leaves = split_largest_leaf((ds.coords, ds.ids, np.arange(ds.n), None, None), ds.n, m, split)
-
-    label_rows = np.empty(ds.n, dtype=np.int64)
-    leaf_sizes = {}
-    for lid, (_, _, idx, _, slot) in leaves.items():
-        leaf_sizes[lid] = len(idx)
-        label_rows[idx] = lid
-        if slot is not None:
-            setattr(*slot, lid)
-    assignment = PartitionAssignment.from_arrays(m, ds.ids, label_rows, ds.ids[affected_rows])
+    leaves, label_rows, affected = split_largest_leaf(ds.coords, ds.ids, None, m, split, (top, "root"))
+    for lid, (slot, _) in leaves.items():
+        setattr(*slot, lid)
+    assignment = PartitionAssignment.from_arrays(m, ds.ids, label_rows, ds.ids[affected])
     return KdPartitionTree(
-        root=root,
+        root=top.root,
         leaf_count=m,
         assignment=assignment,
         eps=eps,
         scan_count=scan,
-        leaf_sizes=leaf_sizes,
+        leaf_sizes={lid: len(rows) for lid, (_, rows) in leaves.items()},
     )
 
 

@@ -8,11 +8,10 @@ two centers this covers everything within ``eps`` of the bisecting hyperplane,
 and is a conservative superset of that band in general).
 
 Nodes built with median seeding compare along the seeding axis only, which
-makes the split coincide with an axis median split. Internal nodes drop their
-point storage the moment they are split, keeping only center data and counts,
-so the finished tree stores points in its leaves alone. Walking the tree
-bottom-up yields the order in which per-partition cluster results should be
-merged.
+makes the split coincide with an axis median split. Internal nodes never
+store points, only center data and counts; the finished tree stores points in
+its leaves alone. Walking the tree bottom-up yields the order in which
+per-partition cluster results should be merged.
 
 Distance kernel: ``expansion_column`` computes squared distances as
 |p|^2 - 2 p.c + |c|^2 with precomputed row norms, clamped at zero. One BLAS
@@ -26,8 +25,13 @@ Python floats in place of per-node arrays, so its distances equal
 ``_split_rows`` turns per-center columns into labels, the affected mask and
 child counts, for the build and for public ``assign_to_centers`` alike; the
 latter feeds it the plain elementwise columns, where exact zero self-distances
-matter more than throughput. Split order (largest leaf first) comes from
-``core.split_largest_leaf``, shared with the kd-tree.
+matter more than throughput. ``core.split_largest_leaf``, shared with the
+kd-tree, owns the split order, the node rows, the labels and the affected
+rows; this module only cuts one node. ``scan_count`` counts rows read in the
+kd-tree's units: n for the row norms, then the node's rows once per distance
+column and once for labelling, per split attempt (median seeding: variance,
+selection, two axis columns, labelling). Gathers and dense passes over a
+larger reference are layout, not algorithm, and are not counted.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "route_point_counted",
     "affected_partitions",
     "merge_order",
-    "internal_member_storage",
     "vtree_to_dict",
     "vtree_to_json",
 ]
@@ -197,74 +200,6 @@ def _split_rows(cols, axis, eps: float, k: int):
     return labels, affected, np.bincount(labels, minlength=k)
 
 
-class _NodeView:
-    """A pending node's points as rows of a reference array.
-
-    Distance columns come from one BLAS pass over the reference array. When
-    the node spans at least half of it the pass runs dense and slices the
-    node's rows out (cheaper than gathering a copy); smaller nodes are
-    materialized once at split time so the work stays proportional to the
-    node. ``touched`` records how many rows each column pass actually read.
-    """
-
-    def __init__(self, ref_coords, ref_sq, ref_ids, rows, force_materialize=False):
-        self.touched = 0
-        if rows is not None and (force_materialize or 2 * len(rows) < len(ref_coords)):
-            ref_coords = ref_coords[rows]
-            ref_sq = ref_sq[rows] if ref_sq is not None else None
-            ref_ids = ref_ids[rows]
-            self.touched = len(rows)
-            rows = None
-        self.ref_coords = ref_coords
-        self.ref_sq = ref_sq
-        self.ref_ids = ref_ids
-        self.rows = rows
-        self.n = len(ref_coords) if rows is None else len(rows)
-        self.ids = ref_ids if rows is None else ref_ids[rows]
-
-    def materialized(self) -> np.ndarray:
-        """The node's own coordinate rows (forces a gather on dense views)."""
-        if self.rows is None:
-            return self.ref_coords
-        return self.ref_coords[self.rows]
-
-    def ref_position(self, local: int) -> int:
-        return int(local if self.rows is None else self.rows[local])
-
-    def center_coords(self, local: int) -> np.ndarray:
-        return self.ref_coords[self.ref_position(local)].copy()
-
-    def center_sqnorm(self, local: int) -> float:
-        return float(self.ref_sq[self.ref_position(local)])
-
-    def sq_col(self, local: int) -> np.ndarray:
-        """Clamped expansion column of squared distances to one member point."""
-        pos = self.ref_position(local)
-        col = expansion_column(self.ref_coords, self.ref_sq, self.ref_coords[pos], self.ref_sq[pos])
-        self.touched += len(self.ref_coords)
-        return col if self.rows is None else col[self.rows]
-
-    def child_rows(self, local_rows: np.ndarray) -> np.ndarray:
-        return local_rows if self.rows is None else self.rows[local_rows]
-
-
-def _seed_columns(kind, view: _NodeView, k, rng):
-    """Pick k centers and return (local positions, per-center columns, axis).
-
-    Columns are squared distances for the kernel strategies and real axis
-    distances for median seeding (the argmin is the same either way).
-    """
-    if kind == "median":
-        node_coords = view.materialized()
-        positions, axis = median_positions(node_coords, view.ids, k)
-        col = node_coords[:, axis]
-        cols = [np.abs(col - node_coords[p, axis]) for p in positions]
-        view.touched += 3 * view.n
-        return positions, cols, axis
-    positions, cols = select_positions(kind, view.ids, k, rng, view.sq_col, view.materialized)
-    return positions, cols, None
-
-
 def build_vtree(
     ds: Dataset,
     m: int,
@@ -280,7 +215,8 @@ def build_vtree(
     exactly m leaves. A split that produces an empty child is retried once
     with fresh seed draws and then accepted (deterministic strategies
     reproduce the same split and are accepted as-is). Reproducible from the
-    seed.
+    seed. ``core.split_largest_leaf`` runs the loop and owns the rows; this
+    function only cuts one node. Only final leaves get ``members``.
     """
     if not isinstance(strategy, SeedStrategy):
         strategy = SeedStrategy(strategy)
@@ -298,61 +234,50 @@ def build_vtree(
     if kind == "median" and fanout != 2:
         raise ValueError("median seeding requires fanout 2")
 
-    coords = ds.coords
-    ids = ds.ids
-    needs_sqnorms = kind in ("random", "gnat", "kmeanspp")
-    sqnorms = row_sqnorms(coords) if needs_sqnorms else None
+    needs_sqnorms = kind != "median"
+    sqnorms = row_sqnorms(ds.coords) if needs_sqnorms else None
     rng = make_rng(seed)
-    affected_rows = np.zeros(ds.n, dtype=bool)
     scan = ds.n if needs_sqnorms else 0
 
-    # a pending leaf is (node, ref) where ref holds an ancestor's arrays plus
-    # row numbers; a node materializes its own rows only when it is split AND
-    # is small relative to that array, so final leaves never pay for a gather
-    def split(state, room):
+    def split(vnode, node, room):
         nonlocal scan
-        node, ref = state
-        view = _NodeView(*ref, force_materialize=(kind == "median"))
-        idx = node.members
-        k = min(fanout, room, len(idx))
-
-        for attempt in (0, 1):
-            positions, cols, axis = _seed_columns(kind, view, k, rng)
+        k = min(fanout, room, node.n)
+        if kind == "median":
+            coords = node.gather().coords
+            positions, axis = median_positions(coords, node.ids, k)
+            cols = [np.abs(coords[:, axis] - coords[p, axis]) for p in positions]
             labels, aff_mask, counts = _split_rows(cols, axis, eps, k)
-            if counts.min() > 0 or attempt == 1 or kind == "median":
-                break
+            scan += 5 * node.n  # variance, selection, two axis columns, labelling
+        else:
+            axis, ids = None, node.take(node.ids)
 
-        node.centers = tuple(Point(int(view.ids[p]), view.center_coords(p)) for p in positions)
-        node.center_sqnorms = (
-            tuple(view.center_sqnorm(p) for p in positions) if view.ref_sq is not None else ()
-        )
-        node.child_counts = tuple(int(c) for c in counts)
-        node.overlap_count = int(aff_mask.sum())
-        node.axis = axis
-        if node.overlap_count:
-            affected_rows[idx[aff_mask]] = True
+            def column(p):
+                r, sq = node.ref_row(p), node.sqnorms
+                return node.take(expansion_column(node.coords, sq, node.coords[r], sq[r]))
 
-        out = []
-        for c in range(k):
-            local_rows = np.flatnonzero(labels == c)
-            child = VNode(level=node.level + 1, members=idx[local_rows])
-            child_ref = (view.ref_coords, view.ref_sq, view.ref_ids, view.child_rows(local_rows))
-            out.append(((child, child_ref), len(local_rows)))
-        node.children = tuple(child for (child, _), _ in out)
-        node.members = None
-        scan += view.touched + len(idx)
-        return out
+            for attempt in (0, 1):
+                positions, cols = select_positions(kind, ids, k, rng, column, lambda: node.take(node.coords))
+                labels, aff_mask, counts = _split_rows(cols, None, eps, k)
+                scan += (k + 1) * node.n  # k distance columns and labelling
+                if counts.min() > 0 or attempt == 1:
+                    break
 
-    root = VNode(level=0, members=np.arange(ds.n))
-    leaves = split_largest_leaf((root, (coords, sqnorms, ids, None)), ds.n, m, split)
+        refs = [node.ref_row(p) for p in positions]
+        vnode.centers = tuple(Point(int(node.ids[r]), node.coords[r].copy()) for r in refs)
+        vnode.center_sqnorms = tuple(float(node.sqnorms[r]) for r in refs) if needs_sqnorms else ()
+        vnode.child_counts = tuple(int(c) for c in counts)
+        vnode.overlap_count = int(aff_mask.sum())
+        vnode.axis = axis
+        vnode.children = tuple(VNode(level=vnode.level + 1) for _ in range(k))
+        return labels, aff_mask, vnode.children
 
-    leaf_nodes = {}
-    label_rows = np.empty(ds.n, dtype=np.int64)
-    for pid, (leaf, _) in sorted(leaves.items()):
-        leaf.partition_id = pid
-        leaf_nodes[pid] = leaf
-        label_rows[leaf.members] = pid
-    assignment = PartitionAssignment.from_arrays(m, ids, label_rows, ids[affected_rows])
+    root = VNode(level=0)
+    leaves, label_rows, affected = split_largest_leaf(ds.coords, ds.ids, sqnorms, m, split, root)
+
+    for pid, (leaf, rows) in leaves.items():
+        leaf.partition_id, leaf.members = pid, rows
+    leaf_nodes = {pid: leaf for pid, (leaf, _) in sorted(leaves.items())}
+    assignment = PartitionAssignment.from_arrays(m, ds.ids, label_rows, ds.ids[affected])
 
     levels = max(leaf.level for leaf in leaf_nodes.values())
     config = VTreeConfig(fanout=fanout, eps=eps, strategy=kind, partition_count=m, seed=int(seed))
@@ -365,19 +290,6 @@ def build_vtree(
         leaf_nodes=leaf_nodes,
         dims=ds.dims,
     )
-
-
-def internal_member_storage(tree: VTree) -> int:
-    """Point rows still stored on internal nodes; zero for a well-formed tree."""
-    total = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            if node.members is not None:
-                total += len(node.members)
-            stack.extend(node.children)
-    return total
 
 
 def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:

@@ -103,6 +103,24 @@ def test_bench_tiny(tmp_path, capsys):
     assert lines[0] == "scheme,m,60x2,40x4"
 
 
+@pytest.mark.parametrize(
+    "flag, value, token",
+    [
+        ("--datasets", "100", "100"),
+        ("--datasets", "60x2,10x", "10x"),
+        ("--datasets", "0x4", "0x4"),
+        ("-m", "2,x", "x"),
+        ("-m", "0", "0"),
+        ("--schemes", "kdtree,vtree:nope", "vtree:nope"),
+    ],
+)
+def test_bench_bad_list_item_is_usage_error(tmp_path, capsys, flag, value, token):
+    code, _, stderr = run(capsys, "bench", flag, value, "--reps", "1", "-o", str(tmp_path / "out"))
+    assert code == 1
+    assert f"argument {flag}: bad item {token!r}" in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, stderr = run(capsys, "gen", "--uniform", "-n", "10", "-d", "2", "-o", "x", "--warp")
     assert code == 1

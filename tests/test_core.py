@@ -247,37 +247,106 @@ class TestAssignmentCsv:
         assert path.read_text() == want
 
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("0,0,0\n1,1,0\n0,1,1\n", "line 3: point id 0 appears twice"),
+            ("0,0,0\n1,1,7\n", "line 2: affected flag must be 0 or 1, got 7"),
+            ("0,0,0\n\n2,x,0\n", "line 3: expected three integers, got '2,x,0'"),
+        ],
+        ids=["repeated-id", "flag-7", "non-integer"],
+    )
+    def test_malformed_rows_name_file_and_line(self, tmp_path, text, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_assignment_csv(path)
+        assert str(err.value) == f"{path}: {problem}"
+
+
 class TestSplitLargestLeaf:
     @staticmethod
+    def drive(n, m, split):
+        # 1-d points whose value is their dataset row; ids differ from rows
+        coords = np.arange(n, dtype=float)[:, None]
+        return split_largest_leaf(coords, np.arange(n) + 100, None, m, split, "root")
+
+    @staticmethod
     def halves(log):
-        def split(items, room):
-            log.append((items, room))
-            cut = (len(items) + 1) // 2
-            return [(items[:cut], cut), (items[cut:], len(items) - cut)]
+        def split(tag, node, room):
+            log.append((int(node.dataset_rows()[0]), room))
+            cut = (node.n + 1) // 2
+            return (np.arange(node.n) >= cut).astype(np.int64), [], [f"{tag}.0", f"{tag}.1"]
 
         return split
 
     def test_largest_first_ties_to_lowest_id(self):
         log = []
-        leaves = split_largest_leaf(tuple(range(10)), 10, 4, self.halves(log))
-        assert leaves == {0: (0, 1, 2), 1: (5, 6, 7), 2: (3, 4), 3: (8, 9)}
+        leaves, labels, affected = self.drive(10, 4, self.halves(log))
+        rows = {lid: rows.tolist() for lid, (_, rows) in leaves.items()}
+        assert rows == {0: [0, 1, 2], 1: [5, 6, 7], 2: [3, 4], 3: [8, 9]}
+        assert leaves[2][0] == "root.0.1" and leaves[1][0] == "root.1.0"
         # rooms: leaves still missing when each split starts
         assert [room for _, room in log] == [4, 3, 2]
-        assert [items[0] for items, _ in log] == [0, 0, 5]
+        assert [first for first, _ in log] == [0, 0, 5]
+        assert labels.tolist() == [0, 0, 0, 2, 2, 1, 1, 1, 3, 3]
+        assert not affected.any()
 
     def test_wide_split_takes_consecutive_ids(self):
-        def split(items, room):
+        def split(tag, node, room):
             k = min(3, room)
-            return [(items[c::k], len(items[c::k])) for c in range(k)]
+            return np.arange(node.n) % k, [], [tag] * k
 
-        leaves = split_largest_leaf(tuple(range(12)), 12, 6, split)
+        leaves, _, _ = self.drive(12, 6, split)
         assert sorted(leaves) == list(range(6))
         # root -> 0, 1, 2; leaf 0 -> 0, 3, 4; leaf 1 has room for two children only -> 1, 5
-        assert leaves == {0: (0, 9), 1: (1, 7), 2: (2, 5, 8, 11), 3: (3,), 4: (6,), 5: (4, 10)}
+        rows = {lid: tuple(rows.tolist()) for lid, (_, rows) in leaves.items()}
+        assert rows == {0: (0, 9), 1: (1, 7), 2: (2, 5, 8, 11), 3: (3,), 4: (6,), 5: (4, 10)}
 
     def test_single_leaf_is_not_split(self):
-        leaves = split_largest_leaf("root", 5, 1, lambda state, room: pytest.fail("split called"))
-        assert leaves == {0: "root"}
+        leaves, labels, affected = self.drive(5, 1, lambda tag, node, room: pytest.fail("split called"))
+        assert list(leaves) == [0] and leaves[0][0] == "root"
+        assert leaves[0][1].tolist() == [0, 1, 2, 3, 4]
+        assert labels.tolist() == [0] * 5 and not affected.any()
+
+    def test_node_layout_and_bookkeeping(self):
+        # shuffled values and ids, so values, ids and dataset rows all differ
+        rng = np.random.default_rng(3)
+        values = rng.permutation(10).astype(float)
+        ids = rng.permutation(10) * 7 + 1
+        coords = values[:, None]
+        seen, children, flagged = [], {}, []
+
+        def split(tag, node, room):
+            own = node.take(node.coords)[:, 0]
+            assert np.array_equal(own, values[node.dataset_rows()])
+            assert np.array_equal(node.take(node.ids), ids[node.dataset_rows()])
+            seen.append((tag, node.rows is None, node.coords))
+            # child 0 gets the ceil(n/2) smallest values; the largest of them is affected
+            cut = np.sort(own)[(node.n + 1) // 2 - 1]
+            flagged.append(cut)
+            labels = (own > cut).astype(np.int64)
+            for c in (0, 1):
+                children[f"{tag}.{c}"] = sorted(own[labels == c])
+            return labels, np.flatnonzero(own == cut), [f"{tag}.0", f"{tag}.1"]
+
+        leaves, labels, affected = split_largest_leaf(coords, ids, None, 7, split, "r")
+        # sizes: r 10 -> 5 + 5; r.0 and r.1 5 -> 3 + 2; r.0.0 and r.1.0 3 -> 2 + 1; r.0.0.0 2 -> 1 + 1
+        assert [tag for tag, _, _ in seen] == ["r", "r.0", "r.1", "r.0.0", "r.1.0", "r.0.0.0"]
+        in_place = {tag: ref for tag, gathered, ref in seen if not gathered}
+        copies = {tag: ref for tag, gathered, ref in seen if gathered}
+        assert set(in_place) == {"r.0", "r.1", "r.0.0.0"}
+        assert in_place["r.0"] is coords and in_place["r.1"] is coords  # 5 of 10 rows: read in place
+        assert len(copies["r.0.0"]) == 3 and len(copies["r.1.0"]) == 3  # 3 of 10: gathered copies
+        assert in_place["r.0.0.0"] is copies["r.0.0"]  # 2 of 3 rows: in place on the parent's copy
+        assert copies["r"] is coords  # the root owns the dataset's arrays
+        # leaf rows, labels and the affected mask against a recomputation from the values
+        assert sorted(leaves) == list(range(7))
+        for lid, (tag, rows) in leaves.items():
+            assert sorted(values[rows]) == children[tag]
+            assert (labels[rows] == lid).all()
+        assert sum(len(rows) for _, rows in leaves.values()) == 10
+        assert np.array_equal(affected, np.isin(values, flagged))
 
 
 class TestDataset:

@@ -13,7 +13,6 @@ from spacepart.vtree import (
     affected_partitions,
     assign_to_centers,
     build_vtree,
-    internal_member_storage,
     merge_order,
     route_point,
     route_point_counted,
@@ -156,7 +155,7 @@ class TestBuild:
     def test_internal_nodes_store_no_points(self):
         ds = random_dataset(13, 256, 5)
         tree = build_vtree(ds, 9, strategy="kmeanspp", seed=2)
-        assert internal_member_storage(tree) == 0
+        assert all(node.members is None for node in internal_nodes(tree.root))
         leaf_total = sum(len(leaf.members) for leaf in tree.leaf_nodes.values())
         assert leaf_total == ds.n
 
@@ -182,6 +181,23 @@ class TestBuild:
         tree = build_vtree(ds, 4, fanout=3, strategy="kmeanspp", seed=0)
         assert tree.leaf_count == 4
         assert tree.leaf_assignment.sizes().sum() == 100
+
+    @pytest.mark.parametrize("fanout", [2, 3])
+    def test_kmeanspp_scan_count_is_rows_read(self, fanout):
+        # n for the row norms, then per split k distance columns plus labelling
+        # over the node's rows; continuous data, so no split is retried
+        ds = random_dataset(19, 512, 4)
+        one_split = build_vtree(ds, fanout, fanout=fanout, strategy="kmeanspp", seed=3)
+        assert one_split.scan_count == ds.n + (fanout + 1) * ds.n
+        tree = build_vtree(ds, 9, fanout=fanout, strategy="kmeanspp", seed=3)
+        passes = sum((len(node.centers) + 1) * sum(node.child_counts) for node in internal_nodes(tree.root))
+        assert tree.scan_count == ds.n + passes
+
+    def test_median_scan_count_is_rows_read(self):
+        # variance, selection, two axis columns and labelling per split; each
+        # of the 3 levels of a 512-point, 8-leaf build reads all 512 rows
+        ds = random_dataset(19, 512, 4)
+        assert build_vtree(ds, 8, strategy="median").scan_count == 5 * ds.n * 3
 
     def test_duplicate_heavy_data_survives(self):
         coords = np.ones((40, 2))
