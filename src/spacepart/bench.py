@@ -3,9 +3,11 @@
 Each cell runs the partitioner once untimed as a warmup, then ``repetitions``
 times with a monotonic clock around the partitioning call only (dataset
 generation and I/O stay outside, the GC stays off inside) and reports the
-median. Partition outputs are deterministic under the configured seed; only
-the times vary. Failed cells (a grid refusing an infeasible cube count, for
-instance) are recorded with a reason and the run continues.
+median. One more, untimed build runs under ``tracemalloc`` for the cell's
+``counters.peak_alloc_mb`` (tracing slows allocation, so it stays out of the
+timed builds). Partition outputs are deterministic under the configured seed;
+only the times vary. Failed cells (a grid refusing an infeasible cube count,
+for instance) are recorded with a reason and the run continues.
 
 Reports round-trip through JSON; the CSV form is the flat table with one row
 per scheme/m and one column per dataset.
@@ -20,6 +22,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -180,6 +183,16 @@ def _timed_builds(build, repetitions: int):
     return result, times
 
 
+def _peak_alloc_mb(build) -> float:
+    """The tracemalloc peak of one build, in MB (1e6 bytes)."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[str],
               m: Optional[int], cfg: BenchConfig) -> dict:
     cell = {
@@ -204,12 +217,11 @@ def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[st
             return cell
 
         if scheme == "kdtree":
-            result, times = _timed_builds(lambda: kd_partition(ds, m, eps=cfg.eps), cfg.repetitions)
+            build = lambda: kd_partition(ds, m, eps=cfg.eps)
         else:
-            result, times = _timed_builds(
-                lambda: build_vtree(ds, m, fanout=cfg.fanout, strategy=strategy, eps=cfg.eps, seed=cfg.seed),
-                cfg.repetitions,
-            )
+            build = lambda: build_vtree(ds, m, fanout=cfg.fanout, strategy=strategy, eps=cfg.eps,
+                                        seed=cfg.seed)
+        result, times = _timed_builds(build, cfg.repetitions)
         median_time = statistics.median(times)
         assignment = result.assignment if scheme == "kdtree" else result.leaf_assignment
         metrics = compute_metrics(assignment, median_time)
@@ -221,7 +233,7 @@ def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[st
             "size_cv": metrics.size_cv,
             "affected_count": metrics.affected_count,
         }
-        cell["counters"] = {"scan_count": result.scan_count}
+        cell["counters"] = {"scan_count": result.scan_count, "peak_alloc_mb": _peak_alloc_mb(build)}
     except GridFeasibilityError as e:
         cell["status"] = "failed"
         cell["reason"] = e.marker()
@@ -284,11 +296,12 @@ def emit_report(report: BenchReport, format: str, path) -> None:
 
 
 def comparable_report(report_dict: dict) -> dict:
-    """Strip times and timestamps so reports can be compared for reproducibility."""
+    """Strip times, memory peaks and timestamps so reports can be compared for reproducibility."""
     out = json.loads(json.dumps(report_dict))
     out.pop("created", None)
     out.pop("environment", None)
     for cell in out.get("cells", []):
         cell.pop("times_s", None)
         cell.pop("median_time_s", None)
+        cell.get("counters", {}).pop("peak_alloc_mb", None)
     return out

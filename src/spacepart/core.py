@@ -342,84 +342,83 @@ def balance_floor(n: int, m: int) -> float:
 
 
 class NodeRows:
-    """One node's points, as ``rows`` of the arrays of its nearest gathered ancestor.
+    """One node's points: ``rows`` of the dataset's ``coords``, ``sqnorms`` (or None) and ``ids``.
 
-    That reference is ``coords``, ``sqnorms`` (or None), ``ids`` and ``index``
-    (dataset row numbers); ``rows`` is None when the node owns all of it. A
-    node spanning at least half of its reference is read in place (a pass over
-    the reference, cut down by ``take``, costs less than a copy); a smaller
-    one gathers when it is split, and ``gather`` makes any node gather.
-    Children of a gathered node reference its copy.
+    ``rows`` are the node's dataset row numbers, None at the root. The node
+    reads the dataset in place (a pass over it, cut down by ``take``) until
+    ``gather`` copies its rows out; from then on the arrays are that copy. The
+    copy is the node's alone: children are row subsets of the dataset, so it
+    goes with the node once its split returns.
     """
 
-    __slots__ = ("coords", "sqnorms", "ids", "index", "rows")
+    __slots__ = ("coords", "sqnorms", "ids", "rows", "gathered")
 
-    def __init__(self, coords, sqnorms, ids, index, rows=None):
-        self.coords, self.sqnorms, self.ids, self.index, self.rows = coords, sqnorms, ids, index, rows
+    def __init__(self, coords, sqnorms, ids, rows=None):
+        self.coords, self.sqnorms, self.ids, self.rows = coords, sqnorms, ids, rows
+        self.gathered = rows is None  # the arrays hold exactly the node's rows
 
     @property
     def n(self) -> int:
-        return len(self.index if self.rows is None else self.rows)
+        return len(self.ids if self.rows is None else self.rows)
 
     def gather(self) -> "NodeRows":
-        """Copy the node's rows out of its reference; the copy becomes the reference."""
-        if self.rows is not None:
-            arrays = (self.coords, self.sqnorms, self.ids, self.index)
-            self.coords, self.sqnorms, self.ids, self.index = map(self.take, arrays)
-            self.rows = None
+        """Copy the node's rows out of the dataset's arrays and read the copy from now on."""
+        if not self.gathered:
+            self.coords, self.sqnorms, self.ids = map(self.take, (self.coords, self.sqnorms, self.ids))
+            self.gathered = True
         return self
 
     def take(self, values):
-        """A per-reference-row array (a pass over the reference) cut down to the node."""
-        return values if self.rows is None or values is None else values[self.rows]
+        """A per-row array over the node's arrays (a pass over the dataset) cut down to the node."""
+        return values if self.gathered or values is None else np.take(values, self.rows, axis=0)
 
     def ref_row(self, local: int) -> int:
-        return int(local if self.rows is None else self.rows[local])
+        """The position of the node's row ``local`` in its arrays."""
+        return int(local if self.gathered else self.rows[local])
 
     def dataset_rows(self, local=slice(None)) -> np.ndarray:
-        return self.index[local if self.rows is None else self.rows[local]]
-
-    def child(self, local: np.ndarray) -> "NodeRows":
-        rows = local if self.rows is None else self.rows[local]
-        return NodeRows(self.coords, self.sqnorms, self.ids, self.index, rows)
+        return (np.arange(self.n) if self.rows is None else self.rows)[local]
 
 
 def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
     """The split loop of both trees: grow m leaves, always splitting the largest.
 
     Owns the node rows (``NodeRows`` over the dataset's arrays), the affected
-    mask and the labels; a builder only cuts one node. ``split(tag, node,
-    room)`` cuts a leaf into 2 to ``room`` children (``room`` counts the
-    leaves still missing, this one included) and returns per-row child
-    labels, the affected node rows (mask or positions) and one tag per child.
-    Ties between equally large leaves go to the lowest leaf id; child 0 keeps
-    its parent's id, the others take the next unused ids. Returns ``{leaf id:
-    (tag, dataset rows)}``, every dataset row's leaf id and the affected mask.
+    mask and the labels; a builder only cuts one node. A node under half of
+    the dataset gathers its rows right before its split, and the copy is
+    dropped when the split returns; a pending leaf holds only its row
+    numbers. ``split(tag, node, room)`` cuts a leaf into 2 to ``room``
+    children (``room`` counts the leaves still missing, this one included)
+    and returns per-row child labels, the affected node rows (mask or
+    positions) and one tag per child. Ties between equally large leaves go to
+    the lowest leaf id; child 0 keeps its parent's id, the others take the
+    next unused ids. Returns ``{leaf id: (tag, dataset rows)}``, every dataset
+    row's leaf id and the affected mask.
     """
     n = len(ids)
     affected = np.zeros(n, dtype=bool)
-    leaves = {0: (root_tag, NodeRows(coords, sqnorms, ids, np.arange(n)))}
+    leaves = {0: (root_tag, NodeRows(coords, sqnorms, ids))}
     heap = [(-n, 0)]
     next_id = 1
     while len(leaves) < m:
         _, lid = heapq.heappop(heap)
         tag, node = leaves.pop(lid)
-        if node.rows is not None and 2 * len(node.rows) < len(node.index):
+        if 2 * node.n < n:
             node.gather()
         child_labels, aff, tags = split(tag, node, m - len(leaves))
         affected[node.dataset_rows(aff)] = True
         for c, child_tag in enumerate(tags):
             pid = lid if c == 0 else next_id + c - 1
-            child = node.child(np.flatnonzero(child_labels == c))
-            leaves[pid] = (child_tag, child)
-            heapq.heappush(heap, (-child.n, pid))
+            rows = node.dataset_rows(np.flatnonzero(child_labels == c))
+            leaves[pid] = (child_tag, NodeRows(coords, sqnorms, ids, rows))
+            heapq.heappush(heap, (-len(rows), pid))
         next_id += len(tags) - 1
-        del node, child, child_labels, aff  # free this split's arrays before the next split runs
+        del node, child_labels, aff  # drop this split's copy before the next split runs
     labels = np.empty(n, dtype=np.int64)
     for lid, (tag, node) in leaves.items():
         rows = node.dataset_rows()
         labels[rows] = lid
-        leaves[lid] = (tag, rows)  # drops the leaf's hold on its reference arrays
+        leaves[lid] = (tag, rows)
     return leaves, labels, affected
 
 
@@ -429,10 +428,12 @@ _CSV_BLOCK = 1 << 14
 
 def write_assignment_csv(assignment: PartitionAssignment, path) -> None:
     """Write one `point-id,partition-id,affected-flag` row per point, ordered by id."""
-    order = np.argsort(assignment._ids)
-    ids = assignment._ids[order]
-    labels = assignment._label_rows[order]
-    flags = np.isin(ids, assignment._affected_ids).astype(np.int64)
+    ids, labels = assignment._ids, assignment._label_rows
+    if not (ids[1:] > ids[:-1]).all():  # binary inputs come in ascending id order: no sort
+        order = np.argsort(ids)
+        ids, labels = ids[order], labels[order]
+    flags = np.zeros(len(ids), dtype=np.int8)
+    flags[np.searchsorted(ids, assignment._affected_ids)] = 1  # affected ids are known ids
     with open(path, "w", encoding="utf-8", newline="") as f:
         for lo in range(0, len(ids), _CSV_BLOCK):
             hi = lo + _CSV_BLOCK

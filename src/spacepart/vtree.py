@@ -30,8 +30,9 @@ kd-tree, owns the split order, the node rows, the labels and the affected
 rows; this module only cuts one node. ``scan_count`` counts rows read in the
 kd-tree's units: n for the row norms, then the node's rows once per distance
 column and once for labelling, per split attempt (median seeding: variance,
-selection, two axis columns, labelling). Gathers and dense passes over a
-larger reference are layout, not algorithm, and are not counted.
+selection, two axis columns, labelling). Gathers, and the passes over the
+whole dataset of a node that reads it in place, are layout, not algorithm,
+and are not counted.
 """
 
 from __future__ import annotations

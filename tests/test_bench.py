@@ -60,6 +60,7 @@ def test_every_cell_present():
         else:
             assert sum(cell["metrics"]["sizes"]) == cell["n"]
             assert cell["counters"]["scan_count"] > 0
+            assert cell["counters"]["peak_alloc_mb"] > 0
 
 
 def test_times_hold_one_entry_per_repetition(monkeypatch):
@@ -75,8 +76,9 @@ def test_times_hold_one_entry_per_repetition(monkeypatch):
     for cell in report.cells:
         assert len(cell["times_s"]) == 3
         assert cell["median_time_s"] == sorted(cell["times_s"])[1]
-    # per dataset: one untimed warmup with the GC on, then 3 timed builds with it off
-    assert gc_on == [True, False, False, False] * 2
+    # per dataset: one untimed warmup with the GC on, 3 timed builds with it off, then
+    # one untimed build under tracemalloc with the GC on again
+    assert gc_on == [True, False, False, False, True] * 2
     assert gc.isenabled()
 
 

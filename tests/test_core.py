@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from spacepart.core import (
     variance_per_dimension,
     write_assignment_csv,
 )
+from spacepart.kdtree import kd_partition
+from spacepart.vtree import build_vtree
 
 # Clean grid-valued coordinates: distinct values differ by at least 1e-3, so
 # no squared difference underflows and metric properties hold numerically.
@@ -246,6 +250,18 @@ class TestAssignmentCsv:
         want = "".join(f"{i},{a.labels[i]},{int(i in flagged)}\n" for i in sorted(a.labels))
         assert path.read_text() == want
 
+    @pytest.mark.parametrize("order", ["ascending", "shuffled", "descending"])
+    def test_same_bytes_whatever_the_id_order(self, tmp_path, order):
+        # custom ids; the smallest and the largest id are affected
+        ids = np.array([2, 9, 40, 41, 77, 300, 1000])
+        labels = np.array([1, 0, 2, 2, 0, 1, 0])
+        perm = {"ascending": np.arange(7), "shuffled": np.array([1, 3, 6, 0, 5, 4, 2]),
+                "descending": np.arange(7)[::-1]}[order]
+        a = PartitionAssignment.from_arrays(3, ids[perm], labels[perm], [1000, 41, 2])
+        path = tmp_path / "a.csv"
+        write_assignment_csv(a, path)
+        assert path.read_bytes() == b"2,1,1\n9,0,0\n40,2,0\n41,2,1\n77,0,0\n300,1,0\n1000,0,1\n"
+
 
     @pytest.mark.parametrize(
         "text, problem",
@@ -315,13 +331,24 @@ class TestSplitLargestLeaf:
         values = rng.permutation(10).astype(float)
         ids = rng.permutation(10) * 7 + 1
         coords = values[:, None]
-        seen, children, flagged = [], {}, []
+        seen, in_place, copies, children, flagged = [], [], {}, {}, []
 
         def split(tag, node, room):
+            # a gather lasts only for its split: no earlier copy is still alive
+            assert all(copy() is None for copy in copies.values())
+            seen.append(tag)
+            rows = node.dataset_rows()
+            assert np.array_equal(rows, np.arange(10) if tag == "r" else node.rows)
             own = node.take(node.coords)[:, 0]
-            assert np.array_equal(own, values[node.dataset_rows()])
-            assert np.array_equal(node.take(node.ids), ids[node.dataset_rows()])
-            seen.append((tag, node.rows is None, node.coords))
+            assert np.array_equal(own, values[rows])
+            assert np.array_equal(node.take(node.ids), ids[rows])
+            if node.coords is coords:  # the dataset's arrays, read in place
+                assert node.ids is ids
+                in_place.append(tag)
+            else:  # the node's own copy of its rows, sharing no memory with the dataset
+                assert len(node.coords) == len(node.ids) == node.n
+                assert not np.shares_memory(node.coords, coords) and not np.shares_memory(node.ids, ids)
+                copies[tag] = weakref.ref(node.coords)
             # child 0 gets the ceil(n/2) smallest values; the largest of them is affected
             cut = np.sort(own)[(node.n + 1) // 2 - 1]
             flagged.append(cut)
@@ -332,21 +359,46 @@ class TestSplitLargestLeaf:
 
         leaves, labels, affected = split_largest_leaf(coords, ids, None, 7, split, "r")
         # sizes: r 10 -> 5 + 5; r.0 and r.1 5 -> 3 + 2; r.0.0 and r.1.0 3 -> 2 + 1; r.0.0.0 2 -> 1 + 1
-        assert [tag for tag, _, _ in seen] == ["r", "r.0", "r.1", "r.0.0", "r.1.0", "r.0.0.0"]
-        in_place = {tag: ref for tag, gathered, ref in seen if not gathered}
-        copies = {tag: ref for tag, gathered, ref in seen if gathered}
-        assert set(in_place) == {"r.0", "r.1", "r.0.0.0"}
-        assert in_place["r.0"] is coords and in_place["r.1"] is coords  # 5 of 10 rows: read in place
-        assert len(copies["r.0.0"]) == 3 and len(copies["r.1.0"]) == 3  # 3 of 10: gathered copies
-        assert in_place["r.0.0.0"] is copies["r.0.0"]  # 2 of 3 rows: in place on the parent's copy
-        assert copies["r"] is coords  # the root owns the dataset's arrays
+        assert seen == ["r", "r.0", "r.1", "r.0.0", "r.1.0", "r.0.0.0"]
+        # only nodes under half of the dataset gather, each from the dataset itself
+        assert in_place == ["r", "r.0", "r.1"]
+        assert list(copies) == ["r.0.0", "r.1.0", "r.0.0.0"]
+        assert all(copy() is None for copy in copies.values())
         # leaf rows, labels and the affected mask against a recomputation from the values
         assert sorted(leaves) == list(range(7))
         for lid, (tag, rows) in leaves.items():
+            assert rows.dtype == np.int64
             assert sorted(values[rows]) == children[tag]
             assert (labels[rows] == lid).all()
         assert sum(len(rows) for _, rows in leaves.values()) == 10
         assert np.array_equal(affected, np.isin(values, flagged))
+
+
+class TestBuildMemory:
+    """Both builders stay near the dataset: no node's copy outlives its split."""
+
+    @pytest.mark.parametrize(
+        "build, limit",
+        [
+            (lambda ds: build_vtree(ds, 16, strategy="random", seed=0), 0.75),
+            (lambda ds: build_vtree(ds, 16, strategy="gnat", seed=0), 0.75),
+            (lambda ds: build_vtree(ds, 16, strategy="kmeanspp", seed=0), 0.75),
+            # kd and median seeding take the variance of the whole root: one n x d temporary
+            (lambda ds: build_vtree(ds, 16, strategy="median", seed=0), 1.25),
+            (lambda ds: kd_partition(ds, 16), 1.25),
+        ],
+        ids=["random", "gnat", "kmeanspp", "median", "kd"],
+    )
+    def test_peak_allocation_within_limit_of_data(self, build, limit):
+        ds = generate_gaussian_mixture(4000, 256, 8, seed=0)
+        tracemalloc.start()
+        try:
+            build(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / ds.coords.nbytes
+        assert ratio <= limit, f"peak allocation {ratio:.2f}x the data, limit {limit}x"
 
 
 class TestDataset:
