@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print three sha256 digests: over fixed-seed build outputs, query answers and grid answers.
+"""Print four sha256 digests: over fixed-seed build outputs, query answers, grid answers and 1024-d queries.
 
 Run it on two checkouts; equal build digests (first line) mean every covered
 build wrote the same tree JSON, the same assignment CSV bytes and the same leaf
@@ -10,13 +10,17 @@ dataset with the same ``route_point_counted`` leaf and comparison count and the
 same ``affected_partitions`` set at the build's eps. Equal grid digests (third
 line) mean every fixed grid reported the same ``grid_stats`` JSON, the same
 ``grid_find_median`` in every dimension, the same ``locate_cube`` for every
-row, and the same error text for finite probes just outside each bound.
+row, and the same error text for finite probes just outside each bound. Equal
+high-dimensional query digests (fourth line) mean the same answers, in the
+same three parts, for 40 fixed probes through 1024-d trees, where every
+distance is a 1024-term dot product.
 
 Covered: kd, and vtree with random, gnat, kmeanspp and median seeding (seeds
 0 and 1), at m in {2, 5, 16} and eps in {0, 0.5}, on a float set, a set where
 every location repeats and a set with custom ids. Grids: y in {1, 2, 3} and k in
 {1, 2} over 1-d data with ties, 2-d data with a zero-width dimension, and 8-d
-data with both.
+data with both. High-dimensional queries: a 600x1024 Gaussian mixture, vtree
+with kmeanspp seeding at m=16 and eps in {0, 0.25}.
 
     python scripts/output_digest.py
 
@@ -34,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from spacepart.core import Dataset, write_assignment_csv  # noqa: E402
+from spacepart.core import Dataset, generate_gaussian_mixture, write_assignment_csv  # noqa: E402
 from spacepart.grid import GridConfig, build_grid, grid_find_median, grid_stats, locate_cube  # noqa: E402
 from spacepart.kdtree import kd_partition, kd_tree_to_json  # noqa: E402
 from spacepart.vtree import affected_partitions, build_vtree, route_point_counted, vtree_to_json  # noqa: E402
@@ -46,6 +50,8 @@ EPS_VALUES = (0.0, 0.5)
 PROBES = 20
 GRID_Y = (1, 2, 3)
 GRID_K = (1, 2)
+HD_PROBES = 40
+HD_EPS_VALUES = (0.0, 0.25)
 
 
 def datasets():
@@ -57,11 +63,11 @@ def datasets():
     return {"float": floats, "duplicates": duplicates, "custom-ids": custom_ids}
 
 
-def probes(ds):
+def probes(ds, count=PROBES):
     """Half build points, half build points moved by noise; drawn from their own generator."""
     rng = np.random.default_rng(20160402)
-    out = ds.coords[rng.integers(ds.n, size=PROBES)]
-    out[PROBES // 2 :] += rng.normal(0.0, 0.5, size=(PROBES - PROBES // 2, ds.dims))
+    out = ds.coords[rng.integers(ds.n, size=count)]
+    out[count // 2 :] += rng.normal(0.0, 0.5, size=(count - count // 2, ds.dims))
     return out
 
 
@@ -157,6 +163,14 @@ def main():
                 grid_digest.update(f"{name} y={y} k={k}".encode() + b"\0" + grid_answers(ds, y, k) + b"\n")
                 grids += 1
     print(f"{grids} grids  sha256 {grid_digest.hexdigest()}")
+    hd_digest = hashlib.sha256()
+    hd = generate_gaussian_mixture(600, 1024, 8, seed=20160404)
+    hd_queries = probes(hd, HD_PROBES)
+    for eps in HD_EPS_VALUES:
+        tree = build_vtree(hd, 16, strategy="kmeanspp", eps=eps, seed=0)
+        label = f"1024-d vtree:kmeanspp eps={eps}"
+        hd_digest.update(label.encode() + b"\0" + answers(tree, hd_queries, eps) + b"\n")
+    print(f"{len(HD_EPS_VALUES)} 1024-d vtree builds x {HD_PROBES} probes  sha256 {hd_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -18,14 +18,17 @@ Distance kernel: ``expansion_column`` computes squared distances as
 column per center replaces per-center subtraction passes, which is what makes
 high-dimensional builds cheap; construction (seeding included) and
 verification go through it. Single-point queries (``route_point``,
-``affected_partitions``) walk the tree through ``_probe_distances``: it does the
-kernel's float operations in the kernel's order on the one probe row, with
-Python floats in place of per-node arrays, so its distances equal
-``VNode.squared_distances`` and ``distances_from`` bit for bit. Labeller:
-``_split_rows`` turns per-center columns into labels, the affected mask and
-child counts, for the build and for public ``assign_to_centers`` alike; the
-latter feeds it the plain elementwise columns, where exact zero self-distances
-matter more than throughput. ``core.split_largest_leaf``, shared with the
+``affected_partitions``) do the kernel's float operations in the kernel's
+order on the 1-D probe row: one ``ddot`` per center, the BLAS call numpy also
+makes for the kernel's ``(1, d) @ (d,)`` product on a one-row input, and
+Python floats in place of per-node arrays. So their distances equal
+``VNode.squared_distances`` and ``distances_from`` bit for bit.
+``_probe_distances`` is that arithmetic; the walks inline it on nodes without
+an axis. Labeller: ``_split_rows`` turns per-center columns into labels, the
+affected mask and child counts, for the build and for public
+``assign_to_centers`` alike; the latter feeds it the plain elementwise
+columns, where exact zero self-distances matter more than throughput.
+``core.split_largest_leaf``, shared with the
 kd-tree, owns the split order, the node rows, the labels and the affected
 rows; this module only cuts one node. ``scan_count`` counts rows read in the
 kd-tree's units: n for the row norms, then the node's rows once per distance
@@ -294,20 +297,21 @@ def build_vtree(
 
 
 def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:
-    """A validated probe as a (1, d) row plus its ``row_sqnorms`` value.
+    """A validated probe as a 1-D float64 row plus its ``row_sqnorms`` value.
 
-    Coordinates and the squared norm must be finite: with an infinite norm
-    every distance is inf, routing falls to child 0 and the margin test
-    (inf - inf) follows no child.
+    The squared norm must be finite: with an infinite norm every distance is
+    inf, routing falls to child 0 and the margin test (inf - inf) follows no
+    child. A finite norm implies finite coordinates, so the norm comes first
+    and the coordinates are scanned only when it is not finite, to tell
+    non-finite coordinates from an overflowing norm.
     """
-    coords = p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
-    if coords.shape != (tree.dims,):
-        raise ValueError(f"point has shape {coords.shape}, tree expects ({tree.dims},)")
-    if not np.isfinite(coords).all():
-        raise ValueError("point has non-finite coordinates")
-    row = coords[None, :]
-    row_sq = float(row_sqnorms(row)[0])
+    row = p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
+    if row.shape != (tree.dims,):
+        raise ValueError(f"point has shape {row.shape}, tree expects ({tree.dims},)")
+    row_sq = float(row_sqnorms(row[None, :])[0])
     if not math.isfinite(row_sq):
+        if not np.isfinite(row).all():
+            raise ValueError("point has non-finite coordinates")
         raise ValueError("point's squared norm overflows float64")
     return row, row_sq
 
@@ -315,17 +319,21 @@ def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:
 def _probe_distances(node: VNode, row: np.ndarray, row_sq: float, real: bool) -> list[float]:
     """One probe's distances to a node's centers, equal bit for bit to the node kernel.
 
-    Squared distances as ``VNode.squared_distances`` gives them, or real ones
-    as ``distances_from`` does when ``real`` is set. Each center costs one
-    ``(1, d) @ (d,)`` product, the call the kernel makes for a one-row input,
-    and the clamp runs in ``expansion_column``'s order on Python floats.
+    ``row`` is the 1-D probe from ``_check_point``. Squared distances as
+    ``VNode.squared_distances`` gives them for the one-row input
+    ``row[None, :]``, or real ones as ``distances_from`` does when ``real`` is
+    set. Each center costs one 1-D ``row.dot(c.coords)``, which numpy sends to
+    the same BLAS ``ddot`` as the kernel's ``(1, d) @ (d,)`` product, and the
+    clamp runs in ``expansion_column``'s order on Python floats. The query
+    walks inline this arithmetic on nodes without an axis.
     """
     if node.axis is not None:
-        v = float(row[0, node.axis])
+        v = float(row[node.axis])
         offsets = [v - float(c.coords[node.axis]) for c in node.centers]
         return [abs(t) for t in offsets] if real else [t * t for t in offsets]
+    dot = row.dot
     sq = [
-        max(row_sq - 2.0 * float((row @ c.coords)[0]) + sq_c, 0.0)
+        max(row_sq - 2.0 * float(dot(c.coords)) + sq_c, 0.0)
         for c, sq_c in zip(node.centers, node.center_sqnorms)
     ]
     return [math.sqrt(s) for s in sq] if real else sq
@@ -334,10 +342,17 @@ def _probe_distances(node: VNode, row: np.ndarray, row_sq: float, real: bool) ->
 def route_point_counted(tree: VTree, p) -> tuple[int, int]:
     """Leaf partition id for a point plus the number of distance comparisons."""
     row, row_sq = _check_point(tree, p)
+    dot = row.dot
     node = tree.root
     comparisons = 0
-    while not node.is_leaf:
-        dists = _probe_distances(node, row, row_sq, real=False)
+    while node.children:
+        if node.axis is None:
+            dists = [
+                max(row_sq - 2.0 * float(dot(c.coords)) + sq_c, 0.0)
+                for c, sq_c in zip(node.centers, node.center_sqnorms)
+            ]
+        else:
+            dists = _probe_distances(node, row, row_sq, real=False)
         comparisons += len(dists)
         node = node.children[dists.index(min(dists))]  # the first minimum, as np.argmin
     return node.partition_id, comparisons
@@ -357,18 +372,25 @@ def affected_partitions(tree: VTree, p, eps: float) -> set[int]:
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
     row, row_sq = _check_point(tree, p)
+    dot, margin = row.dot, 2.0 * eps
     out: set[int] = set()
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
+        if not node.children:
             out.add(node.partition_id)
             continue
-        dists = _probe_distances(node, row, row_sq, real=True)
+        if node.axis is None:
+            dists = [
+                math.sqrt(max(row_sq - 2.0 * float(dot(c.coords)) + sq_c, 0.0))
+                for c, sq_c in zip(node.centers, node.center_sqnorms)
+            ]
+        else:
+            dists = _probe_distances(node, row, row_sq, real=True)
         dmin = min(dists)
-        for j, d in enumerate(dists):
-            if d - dmin <= 2.0 * eps:
-                stack.append(node.children[j])
+        for child, d in zip(node.children, dists):
+            if d - dmin <= margin:
+                stack.append(child)
     return out
 
 
