@@ -133,7 +133,7 @@ def select_positions(kind: str, ids: np.ndarray, k: int, rng: np.random.Generato
     positions = [first]
     cols = [column(first)]
     if kind == "kmeanspp":
-        nearest = cols[0]
+        nearest = cols[0].copy()
         while len(positions) < k:
             if not nearest.sum() > 0:
                 distinct = len(np.unique(node_coords(), axis=0))
@@ -144,7 +144,7 @@ def select_positions(kind: str, ids: np.ndarray, k: int, rng: np.random.Generato
             positions.append(nxt)
             cols.append(column(nxt))
             if len(positions) < k:  # the weights of the next draw; nothing reads them after the last
-                nearest = np.minimum(nearest, cols[-1])
+                np.minimum(nearest, cols[-1], out=nearest)
     else:
         # greedy farthest-sum: the next seed is the unchosen point with the
         # largest sum of Euclidean distances to the seeds so far, lowest id on ties

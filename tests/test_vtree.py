@@ -349,10 +349,19 @@ def query_probes(ds, tree, seed):
 class TestQueryWalk:
     """The per-probe walk against reference walks through the batch node kernel."""
 
-    @pytest.mark.parametrize("data", ["float", "integer"])
+    # 8 and 1024 are the benchmark workloads' dimensions, where the walks'
+    # inline distances are 8- and 1024-term dot products
+    WALK_DATA = {
+        "float": lambda: random_dataset(73, 300, 5),
+        "integer": lambda: integer_dataset(79, 300, 4),
+        "float-8d": lambda: random_dataset(73, 300, 8),
+        "float-1024d": lambda: random_dataset(73, 300, 1024),
+    }
+
+    @pytest.mark.parametrize("data", list(WALK_DATA))
     @pytest.mark.parametrize("strategy,fanout", QUERY_BUILDS)
     def test_route_and_affected_match_reference_walks(self, data, strategy, fanout):
-        ds = random_dataset(73, 300, 5) if data == "float" else integer_dataset(79, 300, 4)
+        ds = self.WALK_DATA[data]()
         ties = 0
         for m in (2, 7, 64):
             tree = build_vtree(ds, m, fanout=fanout, strategy=strategy, seed=m)
