@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print four sha256 digests: over fixed-seed build outputs, query answers, grid answers and 1024-d queries.
+"""Print five sha256 digests: build outputs, query answers, grid answers, 1024-d queries and assignment CSVs.
 
 Run it on two checkouts; equal build digests (first line) mean every covered
 build wrote the same tree JSON, the same assignment CSV bytes and the same leaf
@@ -13,14 +13,18 @@ line) mean every fixed grid reported the same ``grid_stats`` JSON, the same
 row, and the same error text for finite probes just outside each bound. Equal
 high-dimensional query digests (fourth line) mean the same answers, in the
 same three parts, for 40 fixed probes through 1024-d trees, where every
-distance is a 1024-term dot product.
+distance is a 1024-term dot product. Equal CSV digests (fifth line) mean
+``write_assignment_csv`` wrote the same bytes for fixed custom-id assignments,
+whose ids in shuffled order take every decimal width from 1 to 19 digits and
+either sign, at m up to 70000, with no, some or all rows affected.
 
 Covered: kd, and vtree with random, gnat, kmeanspp and median seeding (seeds
 0 and 1), at m in {2, 5, 16} and eps in {0, 0.5}, on a float set, a set where
 every location repeats and a set with custom ids. Grids: y in {1, 2, 3} and k in
 {1, 2} over 1-d data with ties, 2-d data with a zero-width dimension, and 8-d
 data with both. High-dimensional queries: a 600x1024 Gaussian mixture, vtree
-with kmeanspp seeding at m=16 and eps in {0, 0.25}.
+with kmeanspp seeding at m=16 and eps in {0, 0.25}. CSVs: the ids at each width's edges
+plus 0, 50 or 40000 random ones, at m in {1, 7, 256, 70000}.
 
     python scripts/output_digest.py
 
@@ -38,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from spacepart.core import Dataset, generate_gaussian_mixture, write_assignment_csv  # noqa: E402
+from spacepart.core import Dataset, PartitionAssignment, generate_gaussian_mixture, write_assignment_csv  # noqa: E402
 from spacepart.grid import GridConfig, build_grid, grid_find_median, grid_stats, locate_cube  # noqa: E402
 from spacepart.kdtree import kd_partition, kd_tree_to_json  # noqa: E402
 from spacepart.vtree import affected_partitions, build_vtree, route_point_counted, vtree_to_json  # noqa: E402
@@ -52,6 +56,9 @@ GRID_Y = (1, 2, 3)
 GRID_K = (1, 2)
 HD_PROBES = 40
 HD_EPS_VALUES = (0.0, 0.25)
+CSV_ROWS = (0, 50, 40000)
+CSV_M_VALUES = (1, 7, 256, 70000)
+CSV_AFFECTED = (0.0, 0.5, 1.0)
 
 
 def datasets():
@@ -120,6 +127,21 @@ def grid_answers(ds, y, k) -> bytes:
     return ";".join(out).encode()
 
 
+def csv_assignments():
+    """(label, assignment) for custom ids of every decimal width, in shuffled order."""
+    rng = np.random.default_rng(20160405)
+    edges = [0, 2**62, 2**63 - 1, -1, -10, -(2**63)] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+    for rows in CSV_ROWS:
+        for m in CSV_M_VALUES:
+            for share in CSV_AFFECTED:
+                # a random 63-bit value shifted right by 0 to 62 bits: every width is common
+                spread = rng.integers(0, 2**63 - 1, size=rows, dtype=np.int64) >> rng.integers(0, 63, size=rows)
+                ids = rng.permutation(np.unique(np.concatenate([spread, edges])))
+                labels = rng.integers(0, m, size=ids.size)
+                affected = ids[rng.random(ids.size) < share]
+                yield f"csv rows={ids.size} m={m} affected={share}", PartitionAssignment.from_arrays(m, ids, labels, affected)
+
+
 def outputs(tree, csv_path) -> bytes:
     if hasattr(tree, "leaf_nodes"):
         tree_json, assignment, leaf_ids = vtree_to_json(tree), tree.leaf_assignment, sorted(tree.leaf_nodes)
@@ -171,6 +193,15 @@ def main():
         label = f"1024-d vtree:kmeanspp eps={eps}"
         hd_digest.update(label.encode() + b"\0" + answers(tree, hd_queries, eps) + b"\n")
     print(f"{len(HD_EPS_VALUES)} 1024-d vtree builds x {HD_PROBES} probes  sha256 {hd_digest.hexdigest()}")
+    csv_digest = hashlib.sha256()
+    files = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "assignment.csv")
+        for label, assignment in csv_assignments():
+            write_assignment_csv(assignment, csv_path)
+            csv_digest.update(label.encode() + b"\0" + Path(csv_path).read_bytes() + b"\n")
+            files += 1
+    print(f"{files} assignment CSVs  sha256 {csv_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

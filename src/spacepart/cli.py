@@ -3,24 +3,57 @@
 Exit codes: 0 success, 1 usage error, 2 runtime failure (bad files, grid
 feasibility refusals). Every run echoes its full effective configuration,
 including defaulted seeds, so any invocation can be reproduced from its
-output.
+output. Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import sys
 from pathlib import Path
 
-from .bench import BenchConfig, DatasetSpec, emit_report, parse_scheme, run_benchmark, standard_grid
-from .core import compute_metrics, generate_gaussian_mixture, generate_uniform, read_assignment_csv, write_assignment_csv
+from .core import (
+    STRATEGY_KINDS,
+    compute_metrics,
+    generate_gaussian_mixture,
+    generate_uniform,
+    read_assignment_csv,
+    write_assignment_csv,
+)
 from .dataio import DatasetFormatError, load_dataset, save_dataset
-from .grid import GridConfig, GridFeasibilityError, build_grid, grid_stats
-from .kdtree import kd_partition, kd_tree_to_json
-from .render import render_2d
-from .seeding import STRATEGY_KINDS
-from .vtree import build_vtree, vtree_to_json
+
+# Each command imports only the modules it runs. The names below are bound as
+# attributes of this module on first use (PEP 562), so from outside they look
+# like the imports above: perfbench/traced_cli.py looks them up and replaces
+# them with timed wrappers. The commands call them as ``_cli.<name>``, which
+# reads this module's binding, so that a replacement is what runs.
+_DEFERRED = {
+    "kdtree": ("kd_partition", "kd_tree_to_json"),
+    "vtree": ("build_vtree", "vtree_to_json"),
+    "grid": ("GridConfig", "build_grid", "grid_stats"),
+    "bench": ("BenchConfig", "DatasetSpec", "emit_report", "parse_scheme", "run_benchmark", "standard_grid"),
+    "render": ("render_2d",),
+}
+_MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    return value
+
+
+class _Bindings:
+    """``_cli.<name>`` is this module's current binding of ``name``, bound on first use."""
+
+    def __getattr__(self, name: str):
+        return globals()[name] if name in globals() else __getattr__(name)
+
+
+_cli = _Bindings()
 
 __all__ = ["main", "entrypoint"]
 
@@ -99,7 +132,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--datasets", type=_comma_list(_size), default=None,
                        help="comma list like 1500x1024,4000x1024 (default: the standard grid)")
     bench.add_argument("--data", choices=("uniform", "mixture"), default="mixture")
-    bench.add_argument("--schemes", type=_comma_list(parse_scheme),
+    bench.add_argument("--schemes", type=_comma_list(lambda token: _cli.parse_scheme(token)),
                        default="kdtree,vtree:kmeanspp,vtree:median",
                        help="comma list of kdtree, vtree:<strategy>, grid-stats")
     bench.add_argument("-m", type=_comma_list(_count), default="8", help="comma list of partition counts")
@@ -154,12 +187,12 @@ def _cmd_gen(args) -> int:
 def _cmd_partition(args) -> int:
     ds = load_dataset(args.input, format=args.input_format, header=args.header, id_column=args.id_column)
     if args.scheme == "kdtree":
-        tree = kd_partition(ds, args.m, eps=args.eps)
-        assignment, tree_json = tree.assignment, kd_tree_to_json(tree)
+        tree = _cli.kd_partition(ds, args.m, eps=args.eps)
+        assignment, tree_json = tree.assignment, _cli.kd_tree_to_json(tree)
     else:
-        tree = build_vtree(ds, args.m, fanout=args.fanout, strategy=args.seeding,
-                           eps=args.eps, seed=args.seed)
-        assignment, tree_json = tree.leaf_assignment, vtree_to_json(tree)
+        tree = _cli.build_vtree(ds, args.m, fanout=args.fanout, strategy=args.seeding,
+                                eps=args.eps, seed=args.seed)
+        assignment, tree_json = tree.leaf_assignment, _cli.vtree_to_json(tree)
     prefix = args.output or str(Path(args.input).with_suffix(""))
     csv_path = f"{prefix}.assignment.csv"
     json_path = f"{prefix}.tree.json"
@@ -177,11 +210,11 @@ def _cmd_bench(args) -> int:
         specs = []
         for token in args.datasets.split(","):
             n, d = token.lower().split("x")
-            specs.append(DatasetSpec(name=token.strip(), n=int(n), d=int(d), kind=args.data))
+            specs.append(_cli.DatasetSpec(name=token.strip(), n=int(n), d=int(d), kind=args.data))
         datasets = tuple(specs)
     else:
-        datasets = standard_grid(include_large=args.large, kind=args.data)
-    cfg = BenchConfig(
+        datasets = _cli.standard_grid(include_large=args.large, kind=args.data)
+    cfg = _cli.BenchConfig(
         datasets=datasets,
         schemes=tuple(s.strip() for s in args.schemes.split(",")),
         m_values=tuple(int(tok) for tok in str(args.m).split(",")),
@@ -192,11 +225,11 @@ def _cmd_bench(args) -> int:
         grid_splits_y=args.grid_y,
         grid_multiplier_k=args.grid_k,
     )
-    report = run_benchmark(cfg)
+    report = _cli.run_benchmark(cfg)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"report.{args.format}"
-    emit_report(report, args.format, path)
+    _cli.emit_report(report, args.format, path)
     print(f"wrote {path}")
     for cell in report.cells:
         t = f"{cell['median_time_s']:.4f}s" if cell["status"] == "ok" else cell["reason"]
@@ -208,15 +241,15 @@ def _cmd_bench(args) -> int:
 def _cmd_render(args) -> int:
     ds = load_dataset(args.input, format=args.input_format, header=args.header, id_column=args.id_column)
     assignment = read_assignment_csv(args.assignment)
-    render_2d(ds, assignment, args.output)
+    _cli.render_2d(ds, assignment, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_grid_stats(args) -> int:
     ds = load_dataset(args.input, format=args.input_format, header=args.header, id_column=args.id_column)
-    cfg = GridConfig(args.y, args.k, dims=ds.dims, cube_cap=args.cap)
-    stats = grid_stats(build_grid(ds, cfg))
+    cfg = _cli.GridConfig(args.y, args.k, dims=ds.dims, cube_cap=args.cap)
+    stats = _cli.grid_stats(_cli.build_grid(ds, cfg))
     text = stats.to_json()
     print(text)
     if args.output:
@@ -246,9 +279,6 @@ def main(argv=None) -> int:
     _echo_config(args.command, args)
     try:
         return _COMMANDS[args.command](args)
-    except GridFeasibilityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (DatasetFormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -32,6 +32,10 @@ __all__ = [
     "read_assignment_csv",
 ]
 
+# The Voronoi split tree's seeding strategies (``seeding``). The name list lives
+# here so that the CLI can offer it without importing the tree's modules.
+STRATEGY_KINDS = ("random", "gnat", "kmeanspp", "median")
+
 
 def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
     """Return a PCG64-backed generator for the given integer seed.
@@ -73,6 +77,11 @@ class Dataset:
     Coordinates live in a C-contiguous ``(n, dims)`` float64 array; ``ids`` is a
     parallel int64 array of unique non-negative identifiers (defaults to the
     row index). Per-dimension ``(min, max)`` bounds are computed lazily.
+
+    Every coordinate must be finite. One read-only pass sums them; only when
+    that sum is not finite are the rows scanned, to name the first bad one or
+    to accept finite data whose sum overflowed. Custom ids are checked for
+    uniqueness on a sorted copy.
     """
 
     __slots__ = ("coords", "ids", "_bounds")
@@ -86,10 +95,13 @@ class Dataset:
             raise ValueError("a dataset must contain at least one point")
         if dims == 0:
             raise ValueError("a dataset must have at least one dimension")
-        finite = np.isfinite(coords)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise ValueError(f"non-finite value in point row {bad}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = coords.sum()
+        if not np.isfinite(total):  # a NaN or inf makes the sum so, and so does an overflow
+            finite = np.isfinite(coords)
+            if not finite.all():
+                bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+                raise ValueError(f"non-finite value in point row {bad}")
         if ids is None:
             ids = np.arange(n, dtype=np.int64)
         else:
@@ -98,7 +110,8 @@ class Dataset:
                 raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
             if (ids < 0).any():
                 raise ValueError("point ids must be non-negative")
-            if len(np.unique(ids)) != n:
+            ordered = np.sort(ids)
+            if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("point ids must be unique")
         self.coords = coords
         self.ids = ids
@@ -422,23 +435,62 @@ def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
     return leaves, labels, affected
 
 
-# rows formatted per write, so the text of a whole file is never in memory at once
+# rows formatted per write: each block's text and its temporaries stay well under
+# a megabyte, so the whole file's text is never in memory at once
 _CSV_BLOCK = 1 << 14
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+
+
+def _decimal_width(value) -> int:
+    """The number of decimal digits of a non-negative integer below 2**64."""
+    return int(np.searchsorted(_POWERS_OF_TEN, value, side="right")) + 1
+
+
+def _put_decimal(text: np.ndarray, keep: np.ndarray, values: np.ndarray) -> None:
+    """Write unsigned ``values`` right-aligned as ASCII digits into the columns of ``text``.
+
+    ``keep``, of the same shape, then flags every digit but the leading zeros;
+    a zero keeps its last digit.
+    """
+    for k in range(text.shape[1] - 1, -1, -1):
+        keep[:, k] = values != 0
+        values, text[:, k] = np.divmod(values, 10)
+    keep[:, -1] = True
+    text += ord("0")
 
 
 def write_assignment_csv(assignment: PartitionAssignment, path) -> None:
-    """Write one `point-id,partition-id,affected-flag` row per point, ordered by id."""
+    """Write one `point-id,partition-id,affected-flag` row per point, ordered by id.
+
+    The text is the one ``f"{id},{partition},{flag}\\n"`` gives per row, but it is
+    formatted as arrays, a block of rows at a time: each row is a fixed-width
+    row of ASCII digits, sized to the block's widest id and partition id, and
+    the leading zeros are masked out on write.
+    """
     ids, labels = assignment._ids, assignment._label_rows
     if not (ids[1:] > ids[:-1]).all():  # binary inputs come in ascending id order: no sort
         order = np.argsort(ids)
         ids, labels = ids[order], labels[order]
-    flags = np.zeros(len(ids), dtype=np.int8)
+    flags = np.zeros(len(ids), dtype=np.uint8)
     flags[np.searchsorted(ids, assignment._affected_ids)] = 1  # affected ids are known ids
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with open(path, "wb") as f:
         for lo in range(0, len(ids), _CSV_BLOCK):
-            hi = lo + _CSV_BLOCK
-            rows = zip(ids[lo:hi].tolist(), labels[lo:hi].tolist(), flags[lo:hi].tolist())
-            f.write("".join(f"{i},{p},{flag}\n" for i, p, flag in rows))
+            block = slice(lo, lo + _CSV_BLOCK)
+            negative = ids[block] < 0  # only a read assignment file can carry them
+            # -(-2**63) wraps to itself, whose unsigned view is its magnitude 2**63
+            magnitudes = np.where(negative, -ids[block], ids[block]).view(np.uint64)
+            parts = labels[block].view(np.uint64)  # partition ids are non-negative
+            wi, wp = _decimal_width(magnitudes.max()), _decimal_width(parts.max())
+            # columns: sign, id digits, comma, partition digits, comma, flag, newline
+            text = np.empty((len(parts), wi + wp + 5), dtype=np.uint8)
+            keep = np.ones(text.shape, dtype=bool)
+            text[:, 0], keep[:, 0] = ord("-"), negative
+            _put_decimal(text[:, 1 : wi + 1], keep[:, 1 : wi + 1], magnitudes)
+            text[:, wi + 1] = text[:, -3] = ord(",")
+            _put_decimal(text[:, wi + 2 : -3], keep[:, wi + 2 : -3], parts)
+            text[:, -2] = flags[block] + ord("0")
+            text[:, -1] = ord("\n")
+            f.write(text[keep])
 
 
 def read_assignment_csv(path) -> PartitionAssignment:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Point, as_point_arrays, make_rng
+from .core import STRATEGY_KINDS, Point, as_point_arrays, make_rng
 from .kdtree import select_median
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "sq_column",
     "squared_distance_weights",
 ]
-
-STRATEGY_KINDS = ("random", "gnat", "kmeanspp", "median")
 
 
 @dataclass(frozen=True)

@@ -451,7 +451,7 @@ def vtree_to_dict(tree: VTree) -> dict:
             return {"leaf": node.partition_id, "count": len(node.members)}
         return {
             "level": node.level,
-            "centers": [{"id": c.id, "coords": [float(v) for v in c.coords]} for c in node.centers],
+            "centers": [{"id": c.id, "coords": c.coords.tolist()} for c in node.centers],
             "counts": list(node.child_counts),
             "overlap_count": node.overlap_count,
             "axis": node.axis,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import spacepart.cli as cli
 from spacepart.cli import main
 from spacepart.dataio import load_dataset
 
@@ -79,6 +80,31 @@ def test_grid_stats_refuses_high_dims(tmp_path, capsys):
     code, _, stderr = run(capsys, "grid-stats", "-i", str(data), "-y", "2", "-k", "1")
     assert code == 2
     assert "3^64" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["partition", "--scheme", "kdtree", "-m", "3"], ["kd_partition", "kd_tree_to_json"]),
+        (["partition", "--scheme", "vtree", "-m", "3"], ["build_vtree", "vtree_to_json"]),
+        (["grid-stats", "-y", "2"], ["build_grid", "grid_stats"]),
+    ],
+    ids=["kdtree", "vtree", "grid-stats"],
+)
+def test_commands_call_the_module_attributes(tmp_path, capsys, monkeypatch, argv, names):
+    # the names a command imports on first use are still attributes of the cli
+    # module, and a replacement is what runs (perfbench/traced_cli.py times
+    # each layer this way)
+    data = tmp_path / "d.bin"
+    run(capsys, "gen", "--uniform", "-n", "60", "-d", "2", "-o", str(data))
+    calls = []
+    for name in names:
+        monkeypatch.setattr(cli, name, lambda *a, _fn=getattr(cli, name), _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    code, _, _ = run(capsys, *argv, "-i", str(data), *(["-o", str(tmp_path / "p")] if argv[0] == "partition" else []))
+    assert code == 0
+    assert calls == names
+    with pytest.raises(AttributeError):
+        cli.nope
 
 
 def test_render_creates_svg(tmp_path, capsys):

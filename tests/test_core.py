@@ -4,9 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spacepart.core as core
 from spacepart.core import (
     Dataset,
     PartitionAssignment,
@@ -228,6 +229,17 @@ class TestAssignmentValidation:
             PartitionAssignment(1, {0: 0}).validate_against(ds)
 
 
+# every decimal width boundary of a non-negative int64, and the extremes of either sign
+_EDGE_IDS = sorted({0, 2**62, 2**63 - 1, -1, -10, -(2**63)} | {v for k in range(1, 19) for v in (10**k - 1, 10**k)})
+
+
+def _per_row_csv(ids, labels, affected) -> bytes:
+    """The reference text: one f-string per row, in id order."""
+    flagged = set(np.asarray(affected, dtype=np.int64).tolist())
+    rows = sorted(zip(np.asarray(ids, dtype=np.int64).tolist(), np.asarray(labels, dtype=np.int64).tolist()))
+    return "".join(f"{i},{p},{int(i in flagged)}\n" for i, p in rows).encode()
+
+
 class TestAssignmentCsv:
     def test_rows_by_id_with_flags(self, tmp_path):
         a = PartitionAssignment(3, {12: 2, 3: 0, 700: 1, 5: 0}, affected=[700, 3, 3])
@@ -262,6 +274,39 @@ class TestAssignmentCsv:
         write_assignment_csv(a, path)
         assert path.read_bytes() == b"2,1,1\n9,0,0\n40,2,0\n41,2,1\n77,0,0\n300,1,0\n1000,0,1\n"
 
+    @settings(max_examples=200)
+    @given(
+        ids=st.lists(st.one_of(st.sampled_from(_EDGE_IDS), st.integers(-(2**63), 2**63 - 1)),
+                     min_size=1, max_size=80, unique=True),
+        m=st.integers(1, 70_000),
+        affected=st.sampled_from(["none", "some", "all"]),
+        data=st.data(),
+    )
+    def test_matches_per_row_form_at_every_digit_width(self, tmp_path_factory, ids, m, affected, data):
+        # ids in any order, of every width from 1 to 19 digits and either sign
+        labels = data.draw(st.lists(st.integers(0, m - 1), min_size=len(ids), max_size=len(ids)))
+        flagged = {"none": [], "all": ids, "some": [i for i in ids if data.draw(st.booleans())]}[affected]
+        a = PartitionAssignment.from_arrays(m, ids, labels, flagged)
+        path = tmp_path_factory.mktemp("csv") / "a.csv"
+        write_assignment_csv(a, path)
+        assert path.read_bytes() == _per_row_csv(ids, labels, flagged)
+
+    def test_rows_at_block_edges(self, tmp_path):
+        # three full blocks and a last one of one row. Block 0 is negative but for
+        # its last row, 0; the id width then grows at each edge, to the 19 digits
+        # of the last row. The rows on both sides of each edge are affected, and
+        # the partition id width changes at the first edge.
+        block = core._CSV_BLOCK
+        ids = np.concatenate([[-(2**63)], np.arange(-(block - 2), block + 1), 10**12 + np.arange(block), [2**63 - 1]])
+        assert len(ids) == 3 * block + 1
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, 70_000, size=ids.size)
+        labels[block - 1 : block + 1] = [9, 10]
+        flagged = ids[[r for k in range(1, 4) for r in (k * block - 1, k * block)]]
+        a = PartitionAssignment.from_arrays(70_000, ids[::-1], labels[::-1], flagged)
+        path = tmp_path / "edges.csv"
+        write_assignment_csv(a, path)
+        assert path.read_bytes() == _per_row_csv(ids, labels, flagged)
 
     @pytest.mark.parametrize(
         "text, problem",
@@ -413,6 +458,34 @@ class TestDataset:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
             Dataset([[0.0], [1.0]], ids=[3, 3])
+
+    @pytest.mark.parametrize("ids", [[7, 1, 4, 1], [0, 5, 2**62, 9, 2**62], [2, 2, 0]])
+    def test_duplicate_ids_anywhere(self, ids):
+        with pytest.raises(ValueError, match="^point ids must be unique$"):
+            Dataset(np.zeros((len(ids), 1)), ids=ids)
+
+    def test_unique_ids_kept_in_their_order(self):
+        ds = Dataset(np.zeros((4, 1)), ids=[9, 2**62, 0, 3])
+        assert ds.ids.tolist() == [9, 2**62, 0, 3]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1e308], [1e308]], [[1e308, 1e308], [-1e308, -1e308]], [[-1e308, 1.0], [-1e308, 2.0], [5.0, 1e308]]],
+        ids=["sum-inf", "sum-nan", "mixed"],
+    )
+    def test_accepts_finite_rows_whose_sum_overflows(self, rows):
+        assert Dataset(rows).coords.tolist() == rows
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_first_non_finite_row_among_huge_values(self, bad):
+        coords = np.full((6, 3), 1e308)
+        coords[1::2] *= -1.0
+        coords[3, 2] = bad
+        coords[5, 0] = np.nan
+        with pytest.raises(ValueError, match="^non-finite value in point row 3$"):
+            Dataset(coords)
 
     def test_from_points_round_trip(self):
         pts = [Point(4, np.array([1.0, 2.0])), Point(9, np.array([3.0, 4.0]))]
