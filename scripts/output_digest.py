@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print five sha256 digests: build outputs, query answers, grid answers, 1024-d queries and assignment CSVs.
+"""Print six sha256 digests: build outputs, query answers, grid answers, 1024-d queries, assignment CSVs and variances.
 
 Run it on two checkouts; equal build digests (first line) mean every covered
 build wrote the same tree JSON, the same assignment CSV bytes and the same leaf
@@ -16,7 +16,10 @@ same three parts, for 40 fixed probes through 1024-d trees, where every
 distance is a 1024-term dot product. Equal CSV digests (fifth line) mean
 ``write_assignment_csv`` wrote the same bytes for fixed custom-id assignments,
 whose ids in shuffled order take every decimal width from 1 to 19 digits and
-either sign, at m up to 70000, with no, some or all rows affected.
+either sign, at m up to 70000, with no, some or all rows affected. Equal
+variance digests (sixth line) mean ``variance_per_dimension``, the
+split-dimension variance of kd and median seeding, returned the same bytes on
+fixed datasets far from the origin.
 
 Covered: kd, and vtree with random, gnat, kmeanspp and median seeding (seeds
 0 and 1), at m in {2, 5, 16} and eps in {0, 0.5}, on a float set, a set where
@@ -24,7 +27,9 @@ every location repeats and a set with custom ids. Grids: y in {1, 2, 3} and k in
 {1, 2} over 1-d data with ties, 2-d data with a zero-width dimension, and 8-d
 data with both. High-dimensional queries: a 600x1024 Gaussian mixture, vtree
 with kmeanspp seeding at m=16 and eps in {0, 0.25}. CSVs: the ids at each width's edges
-plus 0, 50 or 40000 random ones, at m in {1, 7, 256, 70000}.
+plus 0, 50 or 40000 random ones, at m in {1, 7, 256, 70000}. Variances: normal
+data of n in {1, 2, 17, 4097} rows and d in {1, ..., 9, 64, 1024} columns, shifted
+by 0, 1e4, 1e8 and -1e12.
 
     python scripts/output_digest.py
 
@@ -42,7 +47,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from spacepart.core import Dataset, PartitionAssignment, generate_gaussian_mixture, write_assignment_csv  # noqa: E402
+from spacepart.core import (  # noqa: E402
+    Dataset,
+    PartitionAssignment,
+    generate_gaussian_mixture,
+    variance_per_dimension,
+    write_assignment_csv,
+)
 from spacepart.grid import GridConfig, build_grid, grid_find_median, grid_stats, locate_cube  # noqa: E402
 from spacepart.kdtree import kd_partition, kd_tree_to_json  # noqa: E402
 from spacepart.vtree import affected_partitions, build_vtree, route_point_counted, vtree_to_json  # noqa: E402
@@ -59,6 +70,9 @@ HD_EPS_VALUES = (0.0, 0.25)
 CSV_ROWS = (0, 50, 40000)
 CSV_M_VALUES = (1, 7, 256, 70000)
 CSV_AFFECTED = (0.0, 0.5, 1.0)
+VAR_ROWS = (1, 2, 17, 4097)
+VAR_DIMS = (*range(1, 10), 64, 1024)
+VAR_OFFSETS = (0.0, 1e4, 1e8, -1e12)
 
 
 def datasets():
@@ -142,6 +156,16 @@ def csv_assignments():
                 yield f"csv rows={ids.size} m={m} affected={share}", PartitionAssignment.from_arrays(m, ids, labels, affected)
 
 
+def variance_datasets():
+    """(label, dataset) of normal data with a spread per column, shifted far from the origin."""
+    rng = np.random.default_rng(20160406)
+    for n in VAR_ROWS:
+        for d in VAR_DIMS:
+            coords = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
+            for offset in VAR_OFFSETS:
+                yield f"variance {n}x{d} offset={offset}", Dataset(coords + offset)
+
+
 def outputs(tree, csv_path) -> bytes:
     if hasattr(tree, "leaf_nodes"):
         tree_json, assignment, leaf_ids = vtree_to_json(tree), tree.leaf_assignment, sorted(tree.leaf_nodes)
@@ -202,6 +226,12 @@ def main():
             csv_digest.update(label.encode() + b"\0" + Path(csv_path).read_bytes() + b"\n")
             files += 1
     print(f"{files} assignment CSVs  sha256 {csv_digest.hexdigest()}")
+    var_digest = hashlib.sha256()
+    sets = 0
+    for label, ds in variance_datasets():
+        var_digest.update(label.encode() + b"\0" + variance_per_dimension(ds).tobytes() + b"\n")
+        sets += 1
+    print(f"{sets} variance datasets  sha256 {var_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

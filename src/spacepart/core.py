@@ -22,6 +22,7 @@ __all__ = [
     "PartitionMetrics",
     "make_rng",
     "euclidean_distance",
+    "column_variance",
     "variance_per_dimension",
     "generate_uniform",
     "generate_gaussian_mixture",
@@ -191,13 +192,43 @@ def euclidean_distance(a, b) -> float:
     return float(math.sqrt(float(np.dot(diff, diff))))
 
 
+# the widest rows summed by einsum: on 1.6 and 20 million values its column sum was
+# 19-27% faster than numpy's at 128 columns, and within 10% either way from 256 on
+_EINSUM_MAX_COLUMNS = 128
+
+
+def column_variance(x: np.ndarray) -> np.ndarray:
+    """Population variance of each column of an ``(n, d)`` float64 array: ``x.var(axis=0)``'s bits.
+
+    numpy's ``var`` sums the columns of C-contiguous rows with one d-element
+    inner loop per row; ``einsum("ij->j")`` adds the same rows in the same
+    order without that per-row cost. Between the two column sums stay numpy's
+    own ``x - mean`` and in-place square, so the n x d deviation temporary
+    is still there. The per-row cost only shows on narrow rows, so rows
+    wider than ``_EINSUM_MAX_COLUMNS`` go to ``var`` itself. So does d = 1,
+    whose one contiguous column numpy sums pairwise, and so do rows that are
+    not C-contiguous, which it may sum in yet another order.
+    """
+    n, d = x.shape
+    if d == 1 or d > _EINSUM_MAX_COLUMNS or not x.flags.c_contiguous:
+        return x.var(axis=0)
+    dev = x - np.einsum("ij->j", x) / n
+    np.square(dev, out=dev)
+    return np.einsum("ij->j", dev) / n
+
+
 def variance_per_dimension(ds: Dataset) -> np.ndarray:
     """Population variance of each coordinate across all points.
 
-    The argmax of this vector is the split dimension used by the kd-tree
-    partitioner and by median seeding.
+    This is the split-dimension variance of the kd-tree partitioner and of
+    median seeding: both take the argmax of ``column_variance`` over their
+    node's rows, so all three give one answer. Each column is summed row
+    after row, from row 0 down, for the mean and again for the squared
+    deviations; at d = 1 the one column is summed pairwise, as numpy's
+    ``var`` does. The bits depend on the layout, so callers pass C-contiguous
+    rows (a dataset's coordinates and a node's gathered copy are).
     """
-    return ds.coords.var(axis=0)
+    return column_variance(ds.coords)
 
 
 def generate_uniform(n: int, d: int, lo: float = 0.0, hi: float = 100.0, seed: int = 0) -> Dataset:
@@ -494,7 +525,59 @@ def write_assignment_csv(assignment: PartitionAssignment, path) -> None:
 
 
 def read_assignment_csv(path) -> PartitionAssignment:
-    """Read `point-id,partition-id,affected-flag` rows; malformed rows raise with their line."""
+    """Read `point-id,partition-id,affected-flag` rows; malformed rows raise with their line.
+
+    The whole file is parsed as arrays when every line is strictly
+    ``-?digits,digits,[01]\\n``, with fields of at most 18 digits and distinct
+    ids. Any other file (blank lines, spaces, signs on partition ids, ``\\r``,
+    repeated ids, 19-digit ids, ...) goes through ``_read_assignment_lines``,
+    which accepts it or names the first bad line, so the array path changes
+    neither what is accepted nor what is reported.
+    """
+    with open(path, "rb") as f:
+        parsed = _parse_assignment_bytes(f.read())
+    if parsed is None:
+        return _read_assignment_lines(path)
+    ids, parts, flags = parsed
+    return PartitionAssignment.from_arrays(int(parts.max()) + 1, ids, parts, ids[flags == 1])
+
+
+def _parse_assignment_bytes(raw: bytes):
+    """(ids, partition ids, flags) of a strictly formatted assignment file, else None."""
+    text = np.frombuffer(raw, dtype=np.uint8)
+    if not len(text) or text[-1] != ord("\n"):
+        return None
+    comma, newline, minus = text == ord(","), text == ord("\n"), text == ord("-")
+    if not ((text - np.uint8(ord("0")) < 10) | comma | newline | minus).all():
+        return None
+    ends, commas = np.flatnonzero(newline), np.flatnonzero(comma)
+    if len(commas) != 2 * len(ends):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first, second = commas[0::2], commas[1::2]
+    flag = text[ends - 1]
+    negative = text[starts] == ord("-")
+    id_width = first - starts - negative
+    # two commas per line on average, the second right before the flag and the
+    # first after an id of one digit or more: each line holds exactly its own two
+    if not (
+        (second == ends - 2).all()
+        and ((flag == ord("0")) | (flag == ord("1"))).all()
+        and id_width.min() > 0
+        and (first < second - 1).all()
+        and int(negative.sum()) == int(minus.sum())  # a minus sign only in front of an id
+        and max(id_width.max(), (second - first - 1).max()) <= 18  # no field can overflow int64
+    ):
+        return None
+    ids, parts, flags = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",").reshape(-1, 3).T.copy()
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    return ids, parts, flags
+
+
+def _read_assignment_lines(path) -> PartitionAssignment:
+    """The line-by-line reader: the reference for every file and the only path for irregular ones."""
     labels: dict[int, int] = {}
     affected = []
     with open(path, "r", encoding="utf-8") as f:

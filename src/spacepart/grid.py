@@ -147,9 +147,11 @@ def build_grid(ds: Dataset, cfg: GridConfig) -> GridIndex:
     maxs = ds.coords.max(axis=0)
     widths = (maxs - mins) / cfg.cubes_per_dim
     flat = _hash(ds.coords, mins, widths, cfg.cubes_per_dim)
-    rows = np.argsort(flat, kind="stable")
-    cubes, starts = np.unique(flat[rows], return_index=True)
-    return GridIndex(cfg, ds, mins, maxs, widths, cubes, rows, np.append(starts, ds.n), build_passes=1)
+    # the same keys in the narrowest unsigned type: numpy radix-sorts keys of 16 bits or less
+    rows = np.argsort(flat.astype(np.min_scalar_type(cfg.total_cubes - 1)), kind="stable")
+    ordered = flat[rows]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    return GridIndex(cfg, ds, mins, maxs, widths, ordered[starts[:-1]], rows, starts, build_passes=1)
 
 
 def locate_cube(p, grid: GridIndex) -> int:

@@ -106,6 +106,20 @@ class TestBuild:
             assert grid.cubes[i] == flat
             assert row in grid.rows[grid.starts[i] : grid.starts[i + 1]]
 
+    @pytest.mark.parametrize("dims, y", [(2, 1), (8, 2), (12, 2), (20, 2)], ids=["uint8", "uint16", "uint32", "uint64"])
+    def test_table_is_a_stable_sort_of_the_cube_ids(self, dims, y):
+        # the sort runs on keys of the narrowest type that holds every cube id
+        rng = np.random.default_rng(dims)
+        coords = np.round(rng.normal(size=(300, dims)), 1)
+        coords[rng.random(coords.shape) < 0.3] = -0.0
+        grid = build_grid(Dataset(coords), GridConfig(y, 1, dims=dims, cube_cap=2**62))
+        flat = np.array([locate_cube(row, grid) for row in coords])
+        rows = np.argsort(flat, kind="stable")
+        cubes, starts = np.unique(flat[rows], return_index=True)
+        assert grid.rows.tolist() == rows.tolist() and grid.cubes.tolist() == cubes.tolist()
+        assert grid.starts.tolist() == [*starts.tolist(), len(coords)]
+        assert grid.cubes.dtype == grid.rows.dtype == grid.starts.dtype == np.int64
+
     def test_dims_mismatch(self):
         ds = random_dataset(3, 10, 2)
         with pytest.raises(ValueError):
