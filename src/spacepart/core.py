@@ -22,7 +22,6 @@ __all__ = [
     "PartitionMetrics",
     "make_rng",
     "euclidean_distance",
-    "column_variance",
     "variance_per_dimension",
     "generate_uniform",
     "generate_gaussian_mixture",
@@ -193,11 +192,13 @@ def euclidean_distance(a, b) -> float:
 
 
 # the widest rows summed by einsum: on 1.6 and 20 million values its column sum was
-# 19-27% faster than numpy's at 128 columns, and within 10% either way from 256 on
+# 19-27% faster than numpy's at 128 columns, and within 10% either way from 256 on.
+# A column-sum microbenchmark choice: no workload runs between 9 and 1023 columns,
+# so nothing verifies the cutoff end to end
 _EINSUM_MAX_COLUMNS = 128
 
 
-def column_variance(x: np.ndarray) -> np.ndarray:
+def _column_variance(x: np.ndarray) -> np.ndarray:
     """Population variance of each column of an ``(n, d)`` float64 array: ``x.var(axis=0)``'s bits.
 
     numpy's ``var`` sums the columns of C-contiguous rows with one d-element
@@ -221,14 +222,14 @@ def variance_per_dimension(ds: Dataset) -> np.ndarray:
     """Population variance of each coordinate across all points.
 
     This is the split-dimension variance of the kd-tree partitioner and of
-    median seeding: both take the argmax of ``column_variance`` over their
+    median seeding: both take the argmax of ``_column_variance`` over their
     node's rows, so all three give one answer. Each column is summed row
     after row, from row 0 down, for the mean and again for the squared
     deviations; at d = 1 the one column is summed pairwise, as numpy's
     ``var`` does. The bits depend on the layout, so callers pass C-contiguous
     rows (a dataset's coordinates and a node's gathered copy are).
     """
-    return column_variance(ds.coords)
+    return _column_variance(ds.coords)
 
 
 def generate_uniform(n: int, d: int, lo: float = 0.0, hi: float = 100.0, seed: int = 0) -> Dataset:
@@ -525,59 +526,7 @@ def write_assignment_csv(assignment: PartitionAssignment, path) -> None:
 
 
 def read_assignment_csv(path) -> PartitionAssignment:
-    """Read `point-id,partition-id,affected-flag` rows; malformed rows raise with their line.
-
-    The whole file is parsed as arrays when every line is strictly
-    ``-?digits,digits,[01]\\n``, with fields of at most 18 digits and distinct
-    ids. Any other file (blank lines, spaces, signs on partition ids, ``\\r``,
-    repeated ids, 19-digit ids, ...) goes through ``_read_assignment_lines``,
-    which accepts it or names the first bad line, so the array path changes
-    neither what is accepted nor what is reported.
-    """
-    with open(path, "rb") as f:
-        parsed = _parse_assignment_bytes(f.read())
-    if parsed is None:
-        return _read_assignment_lines(path)
-    ids, parts, flags = parsed
-    return PartitionAssignment.from_arrays(int(parts.max()) + 1, ids, parts, ids[flags == 1])
-
-
-def _parse_assignment_bytes(raw: bytes):
-    """(ids, partition ids, flags) of a strictly formatted assignment file, else None."""
-    text = np.frombuffer(raw, dtype=np.uint8)
-    if not len(text) or text[-1] != ord("\n"):
-        return None
-    comma, newline, minus = text == ord(","), text == ord("\n"), text == ord("-")
-    if not ((text - np.uint8(ord("0")) < 10) | comma | newline | minus).all():
-        return None
-    ends, commas = np.flatnonzero(newline), np.flatnonzero(comma)
-    if len(commas) != 2 * len(ends):
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    first, second = commas[0::2], commas[1::2]
-    flag = text[ends - 1]
-    negative = text[starts] == ord("-")
-    id_width = first - starts - negative
-    # two commas per line on average, the second right before the flag and the
-    # first after an id of one digit or more: each line holds exactly its own two
-    if not (
-        (second == ends - 2).all()
-        and ((flag == ord("0")) | (flag == ord("1"))).all()
-        and id_width.min() > 0
-        and (first < second - 1).all()
-        and int(negative.sum()) == int(minus.sum())  # a minus sign only in front of an id
-        and max(id_width.max(), (second - first - 1).max()) <= 18  # no field can overflow int64
-    ):
-        return None
-    ids, parts, flags = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",").reshape(-1, 3).T.copy()
-    ordered = np.sort(ids)
-    if (ordered[1:] == ordered[:-1]).any():
-        return None
-    return ids, parts, flags
-
-
-def _read_assignment_lines(path) -> PartitionAssignment:
-    """The line-by-line reader: the reference for every file and the only path for irregular ones."""
+    """Read `point-id,partition-id,affected-flag` rows; malformed rows raise with their line."""
     labels: dict[int, int] = {}
     affected = []
     with open(path, "r", encoding="utf-8") as f:

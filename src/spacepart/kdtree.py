@@ -1,7 +1,7 @@
 """Baseline partitioner: recursive median splits on the highest-variance dimension.
 
 Each split recomputes the per-dimension variance of the points at that node
-with ``core.column_variance``, the routine behind ``variance_per_dimension``
+with ``core._column_variance``, the routine behind ``variance_per_dimension``
 and median seeding, so all three pick the same axis for the same rows. It
 finds the lower median along the argmax dimension with ``np.partition``, and
 routes points left/right with a deterministic tie rule that guarantees the two
@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Dataset, PartitionAssignment, column_variance, split_largest_leaf
+from .core import Dataset, PartitionAssignment, _column_variance, split_largest_leaf
 
 __all__ = [
     "KdNode",
@@ -116,7 +116,7 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
         coords = node.gather().coords
         n_node = len(coords)
 
-        split_dim = int(np.argmax(column_variance(coords)))
+        split_dim = int(np.argmax(_column_variance(coords)))
         col = coords[:, split_dim]
         median = select_median(col)
 

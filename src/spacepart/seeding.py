@@ -11,7 +11,7 @@ Four ways to pick the k split centers of one node:
   already-chosen seed, which gravitates toward cluster centroids.
 - ``median``: the two points straddling the median of the highest-variance
   dimension, reproducing an axis median split (fanout 2 only). The variance
-  is ``core.column_variance``, the kd-tree's split-dimension variance, so on
+  is ``core._column_variance``, the kd-tree's split-dimension variance, so on
   the same rows both pick the same axis.
 
 Every strategy is a pure function of (points, k, seed): ties break toward the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STRATEGY_KINDS, Point, as_point_arrays, column_variance, make_rng
+from .core import STRATEGY_KINDS, Point, as_point_arrays, _column_variance, make_rng
 from .kdtree import select_median
 
 __all__ = [
@@ -214,7 +214,7 @@ def median_positions(coords: np.ndarray, ids: np.ndarray, k: int = 2) -> tuple[l
     n = coords.shape[0]
     if n < 2:
         raise ValueError("median seeding needs at least 2 points")
-    axis = int(np.argmax(column_variance(coords)))
+    axis = int(np.argmax(_column_variance(coords)))
     col = coords[:, axis]
     median = select_median(col)
 
