@@ -17,25 +17,40 @@ Distance kernel: ``expansion_column`` computes squared distances as
 |p|^2 - 2 p.c + |c|^2 with precomputed row norms, clamped at zero. One BLAS
 column per center replaces per-center subtraction passes, which is what makes
 high-dimensional builds cheap; construction (seeding included) and
-verification go through it. Single-point queries (``route_point``,
-``affected_partitions``) do the kernel's float operations in the kernel's
-order on the 1-D probe row: one ``ddot`` per center, the BLAS call numpy also
-makes for the kernel's ``(1, d) @ (d,)`` product on a one-row input, and
-Python floats in place of per-node arrays. So their distances equal
-``VNode.squared_distances`` and ``distances_from`` bit for bit.
-``_probe_distances`` is that arithmetic. The walks repeat it inline on nodes
-without an axis: a call per level measured 10-17% of a probe's time on 64-leaf
-1024-d trees (2-vCPU machine). Labeller: ``_split_rows`` turns per-center columns
-into labels, the affected mask and child counts, for the build and for public
-``assign_to_centers`` alike; the latter feeds it the plain elementwise
-columns, where exact zero self-distances matter more than throughput.
-``core.split_largest_leaf``, shared with the kd-tree, owns the split order,
-the node rows, the labels and the affected rows; this module only cuts one
-node. ``scan_count`` counts rows read in the kd-tree's units: n for the row
-norms, then the node's rows once per distance column and once for labelling,
-per split attempt (median seeding: variance, selection, two axis columns,
-labelling). Gathers, and the passes over the whole dataset of a node that
-reads it in place, are layout, not algorithm, and are not counted.
+verification go through it.
+
+Single-point queries (``route_point``, ``affected_partitions``) do the
+kernel's float operations in the kernel's order on the 1-D probe row: one
+``ddot`` per center, the BLAS call numpy also makes for the kernel's
+``(1, d) @ (d,)`` product on a one-row input, and Python floats in place of
+per-node arrays. So their distances equal ``VNode.squared_distances`` and
+``distances_from`` bit for bit; ``_probe_distances`` is that arithmetic. The
+walks do not read ``VNode``s. A tree's first query builds its walk table
+(``_walk_table``), nested tuples in which a leaf is its partition id and a
+node without an axis holds one ``(center coords, center sqnorm, child)`` entry
+per center, and the tree keeps it. Per level, this drops the attribute reads,
+a comprehension frame and ``min`` + ``index``: on 256-leaf 8-d trees a route's
+median went from about 58 to 41 us (2-vCPU machine). Over the entries the
+walks inline the arithmetic and keep a running minimum seeded with the first
+center and replaced only on a strict ``<``: the first minimum, which is what
+``dists.index(min(dists))`` and ``np.argmin`` pick, ties and all-inf nodes
+included. Axis nodes, which only median seeding makes, keep their ``VNode`` in
+the table and call ``_probe_distances``: one subtraction per center is not
+where a probe's time goes, and that function holds the one copy of the axis
+arithmetic. The build, the JSON and the CSV never build the table; a tree must
+not be changed after its first query.
+
+Labeller: ``_split_rows`` turns per-center columns into labels, the affected
+mask and child counts, for the build and for public ``assign_to_centers``
+alike; the latter feeds it the plain elementwise columns, where exact zero
+self-distances matter more than throughput. ``core.split_largest_leaf``,
+shared with the kd-tree, owns the split order, the node rows, the labels and
+the affected rows; this module only cuts one node. ``scan_count`` counts rows
+read in the kd-tree's units: n for the row norms, then the node's rows once
+per distance column and once for labelling, per split attempt (median seeding:
+variance, selection, two axis columns, labelling). Gathers, and the passes
+over the whole dataset of a node that reads it in place, are layout, not
+algorithm, and are not counted.
 """
 
 from __future__ import annotations
@@ -43,6 +58,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -149,6 +165,11 @@ class VTree:
     @property
     def leaf_count(self) -> int:
         return self.config.partition_count
+
+    @cached_property
+    def _walk(self):
+        """The query walks' table (``_walk_table`` of the root), built on the first query."""
+        return _walk_table(self.root)
 
 
 def assign_to_centers(points, centers: Sequence[Point], eps: float = 0.0):
@@ -299,16 +320,18 @@ def build_vtree(
 def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:
     """A validated probe as a 1-D float64 row plus its ``row_sqnorms`` value.
 
-    The squared norm must be finite: with an infinite norm every distance is
-    inf, routing falls to child 0 and the margin test (inf - inf) follows no
-    child. A finite norm implies finite coordinates, so the norm comes first
-    and the coordinates are scanned only when it is not finite, to tell
-    non-finite coordinates from an overflowing norm.
+    The 1-D ``einsum`` gives the same float as ``row_sqnorms`` on the one-row
+    input ``row[None, :]`` without that call's 2-D dispatch. The squared norm
+    must be finite: with an infinite norm every distance is inf, routing falls
+    to child 0 and the margin test (inf - inf) follows no child. A finite norm
+    implies finite coordinates, so the norm comes first and the coordinates
+    are scanned only when it is not finite, to tell non-finite coordinates from
+    an overflowing norm.
     """
     row = p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
     if row.shape != (tree.dims,):
         raise ValueError(f"point has shape {row.shape}, tree expects ({tree.dims},)")
-    row_sq = float(row_sqnorms(row[None, :])[0])
+    row_sq = float(np.einsum("i,i->", row, row))
     if not math.isfinite(row_sq):
         if not np.isfinite(row).all():
             raise ValueError("point has non-finite coordinates")
@@ -339,23 +362,49 @@ def _probe_distances(node: VNode, row: np.ndarray, row_sq: float, real: bool) ->
     return [math.sqrt(s) for s in sq] if real else sq
 
 
+def _walk_table(node: VNode):
+    """The query walks' view of a subtree, in nested tuples.
+
+    A leaf is its partition id. A node without an axis is ``(None, entries)``
+    with one ``(center coords, center sqnorm, child)`` entry per center; an
+    axis node is ``(node, children)``.
+    """
+    if node.is_leaf:
+        return node.partition_id
+    children = tuple(_walk_table(child) for child in node.children)
+    if node.axis is not None:
+        return node, children
+    return None, tuple(zip([c.coords for c in node.centers], node.center_sqnorms, children))
+
+
 def route_point_counted(tree: VTree, p) -> tuple[int, int]:
-    """Leaf partition id for a point plus the number of distance comparisons."""
+    """Leaf partition id for a point plus the number of distance comparisons.
+
+    Each level takes the first center at the minimum distance, as ``np.argmin``
+    does on the node kernel's row: a running minimum seeded with the first
+    center and replaced only on a strict ``<`` is ``dists.index(min(dists))``,
+    ties and all-inf nodes included.
+    """
     row, row_sq = _check_point(tree, p)
     dot = row.dot
-    node = tree.root
+    t = tree._walk
     comparisons = 0
-    while not node.is_leaf:
-        if node.axis is None:
-            dists = [
-                max(row_sq - 2.0 * float(dot(c.coords)) + sq_c, 0.0)
-                for c, sq_c in zip(node.centers, node.center_sqnorms)
-            ]
-        else:
+    while type(t) is tuple:
+        node, entries = t
+        if node is not None:
             dists = _probe_distances(node, row, row_sq, real=False)
-        comparisons += len(dists)
-        node = node.children[dists.index(min(dists))]  # the first minimum, as np.argmin
-    return node.partition_id, comparisons
+            comparisons += len(dists)
+            t = entries[dists.index(min(dists))]
+            continue
+        comparisons += len(entries)
+        coords, sq_c, best = entries[0]
+        dmin = max(row_sq - 2.0 * float(dot(coords)) + sq_c, 0.0)
+        for coords, sq_c, child in entries[1:]:
+            d = max(row_sq - 2.0 * float(dot(coords)) + sq_c, 0.0)
+            if d < dmin:
+                dmin, best = d, child
+        t = best
+    return t, comparisons
 
 
 def route_point(tree: VTree, p) -> int:
@@ -367,28 +416,35 @@ def affected_partitions(tree: VTree, p, eps: float) -> set[int]:
     """All leaves a point could interact with inside the 2*eps distance margin.
 
     Follows every center whose distance exceeds the node minimum by at most
-    ``2*eps``; always contains the point's own routed leaf.
+    ``2*eps``; always contains the point's own routed leaf. One pass over a
+    node's centers keeps the distances and a running minimum, seeded and
+    updated as in ``route_point_counted``, so ``dmin`` is ``min(dists)``.
     """
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
     row, row_sq = _check_point(tree, p)
-    dot, margin = row.dot, 2.0 * eps
+    dot, margin, sqrt = row.dot, 2.0 * eps, math.sqrt
     out: set[int] = set()
-    stack = [tree.root]
+    stack = [tree._walk]
     while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.add(node.partition_id)
+        t = stack.pop()
+        if type(t) is not tuple:
+            out.add(t)
             continue
-        if node.axis is None:
-            dists = [
-                math.sqrt(max(row_sq - 2.0 * float(dot(c.coords)) + sq_c, 0.0))
-                for c, sq_c in zip(node.centers, node.center_sqnorms)
-            ]
-        else:
+        node, entries = t
+        if node is not None:
             dists = _probe_distances(node, row, row_sq, real=True)
-        dmin = min(dists)
-        for child, d in zip(node.children, dists):
+            dmin, pairs = min(dists), zip(dists, entries)
+        else:
+            coords, sq_c, child = entries[0]
+            dmin = sqrt(max(row_sq - 2.0 * float(dot(coords)) + sq_c, 0.0))
+            pairs = [(dmin, child)]
+            for coords, sq_c, child in entries[1:]:
+                d = sqrt(max(row_sq - 2.0 * float(dot(coords)) + sq_c, 0.0))
+                pairs.append((d, child))
+                if d < dmin:
+                    dmin = d
+        for d, child in pairs:
             if d - dmin <= margin:
                 stack.append(child)
     return out

@@ -1,10 +1,15 @@
+import dataclasses
 import itertools
 import json
+import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spacepart import vtree as vtree_module
+from spacepart.cli import main
 from spacepart.core import Dataset, Point
 from spacepart.kdtree import kd_partition
 from spacepart.vtree import (
@@ -17,6 +22,7 @@ from spacepart.vtree import (
     merge_order,
     route_point,
     route_point_counted,
+    row_sqnorms,
     vtree_to_dict,
     vtree_to_json,
 )
@@ -400,6 +406,80 @@ class TestQueryWalk:
                 real = np.array(_probe_distances(node, row, row_sq, real=True))
                 assert squared.tobytes() == node.squared_distances(row[None, :])[0].tobytes()
                 assert real.tobytes() == node.distances_from(row[None, :])[0].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 17, 37, 1023, 1024, 1025])
+    def test_probe_sqnorm_equals_row_sqnorms(self, d):
+        # the walks' 1-D norm must be the float row_sqnorms gives on the same
+        # row, contiguous or a strided view
+        rng = np.random.default_rng(d)
+        tree = types.SimpleNamespace(dims=d)
+        for scale in (1e-3, 1.0, 1e3, 1e100):
+            block = rng.normal(size=(20, 2 * d)) * scale
+            for row in list(block[:, :d]) + list(block[:, ::2]):
+                assert row.shape == (d,)
+                assert _check_point(tree, row)[1] == float(row_sqnorms(row[None, :])[0])
+
+    @staticmethod
+    def hand_built(tree, centers, sqnorms):
+        """``tree`` with its root replaced by one node over the given centers, each child a leaf."""
+        root = VNode(
+            level=0,
+            centers=tuple(Point(i, np.array(c, dtype=float)) for i, c in enumerate(centers)),
+            center_sqnorms=tuple(sqnorms),
+            children=tuple(VNode(level=1, partition_id=i) for i in range(len(centers))),
+        )
+        return dataclasses.replace(tree, root=root, dims=2, levels=1)
+
+    @pytest.mark.parametrize("case", ["all-inf", "four-way-tie"])
+    def test_edge_nodes_follow_first_minimum(self, case):
+        base = build_vtree(random_dataset(5, 20, 2), 2, strategy="kmeanspp", seed=1)
+        if case == "all-inf":
+            # every center distance is +inf: the walk must still pick child 0
+            tree = self.hand_built(base, [(1.0, 0.0), (0.0, 1.0), (2.0, 2.0)], [math.inf] * 3)
+            first = 0
+        else:
+            # centers 1-4 are each exactly 1 from the origin, center 0 is 3 away
+            centers = [(3.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+            tree = self.hand_built(base, centers, [c[0] ** 2 + c[1] ** 2 for c in centers])
+            first = 1
+        probe = np.zeros(2)
+        row, row_sq = _check_point(tree, probe)
+        dists = _probe_distances(tree.root, row, row_sq, real=False)
+        assert dists.index(min(dists)) == first
+        assert route_point_counted(tree, probe) == reference_route(tree, probe) == (first, len(dists))
+        assert route_point(tree, probe) == first
+        for eps in (0.0, 0.5, 10.0):
+            with np.errstate(invalid="ignore"):  # inf - inf in the reference's margin test
+                expected = brute_force_affected(tree, probe, eps)
+            assert affected_partitions(tree, probe, eps) == expected
+
+    def test_walk_table_is_built_once_by_the_first_query(self, monkeypatch, tmp_path, capsys):
+        built = []
+        real = vtree_module._walk_table
+
+        def counting(node):
+            built.append(node)
+            return real(node)
+
+        monkeypatch.setattr(vtree_module, "_walk_table", counting)
+        ds = random_dataset(7, 200, 3)
+        tree = build_vtree(ds, 8, strategy="kmeanspp", eps=0.5, seed=2)
+        vtree_to_json(tree)
+        data = tmp_path / "data.bin"
+        assert main(["gen", "--uniform", "-n", "100", "-d", "2", "--seed", "1", "-o", str(data)]) == 0
+        out = str(tmp_path / "run")
+        assert main(["partition", "--scheme", "vtree", "-m", "4", "--eps", "0.1", "-i", str(data), "-o", out]) == 0
+        capsys.readouterr()
+        assert built == [] and "_walk" not in vars(tree)
+
+        p = ds.coords[0]
+        leaf = route_point(tree, p)
+        table = vars(tree)["_walk"]
+        route_point_counted(tree, ds.coords[1])
+        assert leaf in affected_partitions(tree, p, 0.5)
+        assert tree._walk is table
+        assert [node for node in built if node is tree.root] == [tree.root]
+        assert len(built) == len(list(internal_nodes(tree.root))) + tree.leaf_count
 
     @pytest.mark.xfail(strict=True, reason="the expansion kernel cancels on probes with a huge norm")
     def test_huge_probe_follows_exact_distances(self):
