@@ -20,11 +20,12 @@ _EXPORTS = {
     "dataio": ("DatasetFormatError", "load_dataset", "save_dataset"),
     "grid": ("GridConfig", "GridFeasibilityError", "GridIndex", "build_grid", "grid_find_median", "grid_stats",
              "locate_cube"),
-    "kdtree": ("KdNode", "KdPartitionTree", "kd_partition", "select_median", "select_rank"),
+    "kdtree": ("KdNode", "KdPartitionTree", "kd_partition", "kd_tree_to_json", "select_median", "select_rank"),
     "seeding": ("SeedSet", "SeedStrategy", "seeds_gnat", "seeds_kmeanspp", "seeds_median", "seeds_random"),
     "vtree": ("MergeOrder", "VNode", "VTree", "affected_partitions", "assign_to_centers", "build_vtree",
-              "merge_order", "route_point"),
-    "bench": ("BenchConfig", "BenchReport", "DatasetSpec", "emit_report", "run_benchmark"),
+              "merge_order", "route_point", "vtree_to_json"),
+    "bench": ("BenchConfig", "BenchReport", "DatasetSpec", "emit_report", "parse_scheme", "run_benchmark",
+              "standard_grid"),
     "render": ("render_2d",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -224,7 +224,7 @@ def _run_cell(spec: DatasetSpec, ds: Dataset, scheme: str, strategy: Optional[st
         result, times = _timed_builds(build, cfg.repetitions)
         median_time = statistics.median(times)
         assignment = result.assignment if scheme == "kdtree" else result.leaf_assignment
-        metrics = compute_metrics(assignment, median_time)
+        metrics = compute_metrics(assignment)
         cell["times_s"] = times
         cell["median_time_s"] = median_time
         cell["metrics"] = {

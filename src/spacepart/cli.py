@@ -9,9 +9,10 @@ output. Each command imports only the modules it runs.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from pathlib import Path
+
+import spacepart
 
 from .core import (
     STRATEGY_KINDS,
@@ -23,37 +24,22 @@ from .core import (
 )
 from .dataio import DatasetFormatError, load_dataset, save_dataset
 
-# Each command imports only the modules it runs. The names below are bound as
-# attributes of this module on first use (PEP 562), so from outside they look
-# like the imports above: perfbench/traced_cli.py looks them up and replaces
-# them with timed wrappers. The commands call them as ``_cli.<name>``, which
-# reads this module's binding, so that a replacement is what runs.
-_DEFERRED = {
-    "kdtree": ("kd_partition", "kd_tree_to_json"),
-    "vtree": ("build_vtree", "vtree_to_json"),
-    "grid": ("GridConfig", "build_grid", "grid_stats"),
-    "bench": ("BenchConfig", "DatasetSpec", "emit_report", "parse_scheme", "run_benchmark", "standard_grid"),
-    "render": ("render_2d",),
-}
-_MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
-
 
 def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
+    """Bind one of the package's exported names here on first use (PEP 562).
+
+    So each command imports only the modules it runs, and from outside the
+    name looks like the imports above: perfbench/traced_cli.py looks it up and
+    replaces it with a timed wrapper. The commands call it as ``_cli.<name>``,
+    which reads this module's binding, so that a replacement is what runs.
+    """
+    if name not in spacepart.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    value = globals()[name] = getattr(spacepart, name)
     return value
 
 
-class _Bindings:
-    """``_cli.<name>`` is this module's current binding of ``name``, bound on first use."""
-
-    def __getattr__(self, name: str):
-        return globals()[name] if name in globals() else __getattr__(name)
-
-
-_cli = _Bindings()
+_cli = sys.modules[__name__]
 
 __all__ = ["main", "entrypoint"]
 

@@ -119,19 +119,6 @@ class Dataset:
         coords.setflags(write=False)
         ids.setflags(write=False)
 
-    @classmethod
-    def from_points(cls, points: Iterable[Point]) -> "Dataset":
-        points = list(points)
-        if not points:
-            raise ValueError("a dataset must contain at least one point")
-        dims = points[0].dims
-        for p in points:
-            if p.dims != dims:
-                raise ValueError(f"point {p.id} has {p.dims} coords, expected {dims}")
-        coords = np.stack([p.coords for p in points])
-        ids = np.array([p.id for p in points], dtype=np.int64)
-        return cls(coords, ids)
-
     @property
     def n(self) -> int:
         return self.coords.shape[0]
@@ -362,10 +349,9 @@ class PartitionMetrics:
     bias: float
     size_cv: float
     affected_count: int
-    wall_time: float
 
 
-def compute_metrics(assignment: PartitionAssignment, elapsed: float = 0.0) -> PartitionMetrics:
+def compute_metrics(assignment: PartitionAssignment) -> PartitionMetrics:
     sizes = assignment.sizes()
     n = int(sizes.sum())
     m = assignment.partition_count
@@ -377,7 +363,6 @@ def compute_metrics(assignment: PartitionAssignment, elapsed: float = 0.0) -> Pa
         bias=bias,
         size_cv=size_cv,
         affected_count=len(assignment.affected),
-        wall_time=float(elapsed),
     )
 
 

@@ -103,14 +103,12 @@ class GridIndex:
     Occupancy is one table sorted by cube: ``cubes`` holds the occupied flat
     cube indices in ascending order, ``rows`` the dataset rows grouped by cube
     (ascending within a cube), and cube ``cubes[i]`` owns
-    ``rows[starts[i]:starts[i+1]]``. ``build_passes`` counts full sweeps over
-    the point set during construction; the build hashes every point exactly
-    once.
+    ``rows[starts[i]:starts[i+1]]``. The build hashes every point exactly once.
     """
 
-    __slots__ = ("config", "dataset", "mins", "maxs", "widths", "cubes", "rows", "starts", "build_passes")
+    __slots__ = ("config", "dataset", "mins", "maxs", "widths", "cubes", "rows", "starts")
 
-    def __init__(self, config: GridConfig, dataset: Dataset, mins, maxs, widths, cubes, rows, starts, build_passes):
+    def __init__(self, config: GridConfig, dataset: Dataset, mins, maxs, widths, cubes, rows, starts):
         self.config = config
         self.dataset = dataset
         self.mins = mins
@@ -119,11 +117,6 @@ class GridIndex:
         self.cubes = cubes
         self.rows = rows
         self.starts = starts
-        self.build_passes = build_passes
-
-    @property
-    def occupied_cubes(self) -> int:
-        return len(self.cubes)
 
 
 def _hash(coords: np.ndarray, mins: np.ndarray, widths: np.ndarray, cubes: int) -> np.ndarray:
@@ -151,7 +144,7 @@ def build_grid(ds: Dataset, cfg: GridConfig) -> GridIndex:
     rows = np.argsort(flat.astype(np.min_scalar_type(cfg.total_cubes - 1)), kind="stable")
     ordered = flat[rows]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
-    return GridIndex(cfg, ds, mins, maxs, widths, ordered[starts[:-1]], rows, starts, build_passes=1)
+    return GridIndex(cfg, ds, mins, maxs, widths, ordered[starts[:-1]], rows, starts)
 
 
 def locate_cube(p, grid: GridIndex) -> int:

@@ -43,7 +43,6 @@ __all__ = [
     "seeds_median",
     "weighted_index",
     "sq_column",
-    "squared_distance_weights",
 ]
 
 
@@ -95,15 +94,6 @@ def sq_column(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Exact squared distances from every row to one center (no expansion tricks)."""
     diff = coords - center
     return np.einsum("ij,ij->i", diff, diff)
-
-
-def squared_distance_weights(coords: np.ndarray, center_coords: np.ndarray) -> np.ndarray:
-    """Per-point squared distance to the nearest of the given centers."""
-    centers = np.atleast_2d(center_coords)
-    out = sq_column(coords, centers[0])
-    for c in centers[1:]:
-        np.minimum(out, sq_column(coords, c), out=out)
-    return out
 
 
 def _pick_lowest_id(candidates: np.ndarray, ids: np.ndarray) -> int:

@@ -24,20 +24,17 @@ kernel's float operations in the kernel's order on the 1-D probe row: one
 ``ddot`` per center, the BLAS call numpy also makes for the kernel's
 ``(1, d) @ (d,)`` product on a one-row input, and Python floats in place of
 per-node arrays. So their distances equal ``VNode.squared_distances`` and
-``distances_from`` bit for bit; ``_probe_distances`` is that arithmetic. The
-walks do not read ``VNode``s. A tree's first query builds its walk table
-(``_walk_table``), nested tuples in which a leaf is its partition id and a
-node without an axis holds one ``(center coords, center sqnorm, child)`` entry
-per center, and the tree keeps it. Per level, this drops the attribute reads,
-a comprehension frame and ``min`` + ``index``: on 256-leaf 8-d trees a route's
-median went from about 58 to 41 us (2-vCPU machine). Over the entries the
-walks inline the arithmetic and keep a running minimum seeded with the first
-center and replaced only on a strict ``<``: the first minimum, which is what
-``dists.index(min(dists))`` and ``np.argmin`` pick, ties and all-inf nodes
-included. Axis nodes, which only median seeding makes, keep their ``VNode`` in
-the table and call ``_probe_distances``: one subtraction per center is not
-where a probe's time goes, and that function holds the one copy of the axis
-arithmetic. The build, the JSON and the CSV never build the table; a tree must
+``distances_from`` bit for bit. A probe is made C-contiguous first, so that
+its answers do not depend on its memory layout. A tree's first query builds
+its walk table (``_walk_table``), nested tuples in which a leaf is its
+partition id and a node without an axis holds one ``(center coords, center
+sqnorm, child)`` entry per center, and the tree keeps it. Over the entries
+the walks inline the arithmetic and keep a running minimum seeded with the
+first center and replaced only on a strict ``<``: the first minimum, which is
+what ``dists.index(min(dists))`` and ``np.argmin`` pick, ties and all-inf
+nodes included. Axis nodes, which only median seeding makes, keep their
+``VNode`` in the table and call ``_axis_distances``, one subtraction per
+center. The build, the JSON and the CSV never build the table; a tree must
 not be changed after its first query.
 
 Labeller: ``_split_rows`` turns per-center columns into labels, the affected
@@ -115,7 +112,7 @@ class VNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def squared_distances(self, coords: np.ndarray, sqnorms: Optional[np.ndarray] = None) -> np.ndarray:
+    def squared_distances(self, coords: np.ndarray) -> np.ndarray:
         """Per-center squared distances, one expansion column per center.
 
         Same arithmetic as the build's column kernel, so recomputing a node's
@@ -126,21 +123,20 @@ class VNode:
             ax = np.array([c.coords[self.axis] for c in self.centers])
             diff = coords[:, self.axis : self.axis + 1] - ax[None, :]
             return diff * diff
-        if sqnorms is None:
-            sqnorms = row_sqnorms(coords)
+        sqnorms = row_sqnorms(coords)
         cols = [
             expansion_column(coords, sqnorms, c.coords, sq_c)
             for c, sq_c in zip(self.centers, self.center_sqnorms)
         ]
         return np.column_stack(cols)
 
-    def distances_from(self, coords: np.ndarray, sqnorms: Optional[np.ndarray] = None) -> np.ndarray:
+    def distances_from(self, coords: np.ndarray) -> np.ndarray:
         """Real distances to this node's centers (axis distance on median nodes)."""
         coords = np.atleast_2d(coords)
         if self.axis is not None:
             ax = np.array([c.coords[self.axis] for c in self.centers])
             return np.abs(coords[:, self.axis : self.axis + 1] - ax[None, :])
-        return np.sqrt(self.squared_distances(coords, sqnorms))
+        return np.sqrt(self.squared_distances(coords))
 
 
 @dataclass(frozen=True)
@@ -260,7 +256,12 @@ def build_vtree(
         raise ValueError("median seeding requires fanout 2")
 
     needs_sqnorms = kind != "median"
-    sqnorms = row_sqnorms(ds.coords) if needs_sqnorms else None
+    sqnorms = None
+    if needs_sqnorms:
+        sqnorms = row_sqnorms(ds.coords)
+        bad = int(np.argmax(sqnorms))  # the first inf, if any: its expansions would be inf or NaN
+        if sqnorms[bad] == np.inf:
+            raise ValueError(f"row {bad}'s squared norm overflows float64")
     rng = make_rng(seed)
     scan = ds.n if needs_sqnorms else 0
 
@@ -318,17 +319,18 @@ def build_vtree(
 
 
 def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:
-    """A validated probe as a 1-D float64 row plus its ``row_sqnorms`` value.
+    """A validated probe as a C-contiguous 1-D float64 row plus its ``row_sqnorms`` value.
 
-    The 1-D ``einsum`` gives the same float as ``row_sqnorms`` on the one-row
-    input ``row[None, :]`` without that call's 2-D dispatch. The squared norm
-    must be finite: with an infinite norm every distance is inf, routing falls
-    to child 0 and the margin test (inf - inf) follows no child. A finite norm
-    implies finite coordinates, so the norm comes first and the coordinates
-    are scanned only when it is not finite, to tell non-finite coordinates from
-    an overflowing norm.
+    A strided probe is copied: numpy sums a view in another order than the
+    same coordinates in a contiguous row. The 1-D ``einsum`` gives the same
+    float as ``row_sqnorms`` on the one-row input ``row[None, :]`` without that
+    call's 2-D dispatch. The squared norm must be finite: with an infinite norm
+    every distance is inf, routing falls to child 0 and the margin test
+    (inf - inf) follows no child. A finite norm implies finite coordinates, so
+    the norm comes first and the coordinates are scanned only when it is not
+    finite, to tell non-finite coordinates from an overflowing norm.
     """
-    row = p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
+    row = np.asarray(p.coords if isinstance(p, Point) else p, dtype=np.float64, order="C")
     if row.shape != (tree.dims,):
         raise ValueError(f"point has shape {row.shape}, tree expects ({tree.dims},)")
     row_sq = float(np.einsum("i,i->", row, row))
@@ -339,27 +341,12 @@ def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:
     return row, row_sq
 
 
-def _probe_distances(node: VNode, row: np.ndarray, row_sq: float, real: bool) -> list[float]:
-    """One probe's distances to a node's centers, equal bit for bit to the node kernel.
-
-    ``row`` is the 1-D probe from ``_check_point``. Squared distances as
-    ``VNode.squared_distances`` gives them for the one-row input
-    ``row[None, :]``, or real ones as ``distances_from`` does when ``real`` is
-    set. Each center costs one 1-D ``row.dot(c.coords)``, which numpy sends to
-    the same BLAS ``ddot`` as the kernel's ``(1, d) @ (d,)`` product, and the
-    clamp runs in ``expansion_column``'s order on Python floats. The query
-    walks inline this arithmetic on nodes without an axis.
-    """
-    if node.axis is not None:
-        v = float(row[node.axis])
-        offsets = [v - float(c.coords[node.axis]) for c in node.centers]
-        return [abs(t) for t in offsets] if real else [t * t for t in offsets]
-    dot = row.dot
-    sq = [
-        max(row_sq - 2.0 * float(dot(c.coords)) + sq_c, 0.0)
-        for c, sq_c in zip(node.centers, node.center_sqnorms)
-    ]
-    return [math.sqrt(s) for s in sq] if real else sq
+def _axis_distances(node: VNode, row: np.ndarray, real: bool) -> list[float]:
+    """One probe's distances to an axis node's centers, bit for bit as ``distances_from``
+    gives them (``real``) or ``squared_distances``."""
+    v = float(row[node.axis])
+    offsets = [v - float(c.coords[node.axis]) for c in node.centers]
+    return [abs(t) for t in offsets] if real else [t * t for t in offsets]
 
 
 def _walk_table(node: VNode):
@@ -392,7 +379,7 @@ def route_point_counted(tree: VTree, p) -> tuple[int, int]:
     while type(t) is tuple:
         node, entries = t
         if node is not None:
-            dists = _probe_distances(node, row, row_sq, real=False)
+            dists = _axis_distances(node, row, real=False)
             comparisons += len(dists)
             t = entries[dists.index(min(dists))]
             continue
@@ -433,7 +420,7 @@ def affected_partitions(tree: VTree, p, eps: float) -> set[int]:
             continue
         node, entries = t
         if node is not None:
-            dists = _probe_distances(node, row, row_sq, real=True)
+            dists = _axis_distances(node, row, real=True)
             dmin, pairs = min(dists), zip(dists, entries)
         else:
             coords, sq_c, child = entries[0]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import spacepart
 import spacepart.cli as cli
 from spacepart.cli import main
 from spacepart.dataio import load_dataset
@@ -178,3 +179,11 @@ def test_input_format_override(tmp_path, capsys):
     assert code == 0
     code, _, _ = run(capsys, "grid-stats", "-i", str(path), "-y", "1", "--input-format", "binary")
     assert code == 0
+
+
+def test_only_exported_names_bind_here():
+    # the package's own attributes are not the cli module's: a __path__ here
+    # would make the module look like a package
+    for name in ("__path__", "__version__", "_EXPORTS"):
+        assert not hasattr(cli, name)
+    assert cli.build_vtree is spacepart.build_vtree

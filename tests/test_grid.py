@@ -56,7 +56,7 @@ class TestLocate:
 
     def test_corner_points_fill_all_cubes(self):
         _, grid = self._corner_grid()
-        assert grid.occupied_cubes == 4
+        assert len(grid.cubes) == 4
         assert grid_stats(grid).occupied_fraction == 1.0
 
     def test_origin_and_far_corner(self):
@@ -95,7 +95,6 @@ class TestBuild:
         assert np.array_equal(np.sort(grid.rows), np.arange(500))
         for start, end in zip(grid.starts[:-1], grid.starts[1:]):
             assert np.all(np.diff(grid.rows[start:end]) > 0)
-        assert grid.build_passes == 1
 
     def test_every_point_is_where_locate_says(self):
         ds = random_dataset(2, 120, 2)

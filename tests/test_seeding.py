@@ -12,7 +12,6 @@ from spacepart.seeding import (
     seeds_kmeanspp,
     seeds_median,
     seeds_random,
-    squared_distance_weights,
     weighted_index,
 )
 
@@ -110,11 +109,6 @@ class TestGnat:
 
 
 class TestKmeanspp:
-    def test_weights_on_line(self):
-        coords = np.array([[0.0], [1.0], [2.0]])
-        weights = squared_distance_weights(coords, np.array([[0.0]]))
-        assert weights.tolist() == [0.0, 1.0, 4.0]
-
     def test_weighted_index_buckets(self):
         w = np.array([0.0, 1.0, 4.0])
         assert weighted_index(w, 0.0) == 1

@@ -10,12 +10,13 @@ import pytest
 
 from spacepart import vtree as vtree_module
 from spacepart.cli import main
-from spacepart.core import Dataset, Point
+from spacepart.core import Dataset, Point, make_rng
+from spacepart.dataio import save_dataset
 from spacepart.kdtree import kd_partition
 from spacepart.vtree import (
     VNode,
+    _axis_distances,
     _check_point,
-    _probe_distances,
     affected_partitions,
     assign_to_centers,
     build_vtree,
@@ -213,6 +214,31 @@ class TestBuild:
         sizes = tree.leaf_assignment.sizes()
         assert sizes.sum() == 40
 
+    @staticmethod
+    def overflowing_norms():
+        """50 uniform rows, then 50 rows scaled by 1e160: finite, but their squared norms overflow."""
+        coords = make_rng(0).uniform(size=(100, 8))
+        coords[50:] *= 1e160
+        return Dataset(coords)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("strategy", ["random", "gnat", "kmeanspp"])
+    def test_overflowing_row_norm_is_an_error(self, strategy):
+        with pytest.raises(ValueError, match="^row 50's squared norm overflows float64$"):
+            build_vtree(self.overflowing_norms(), 4, strategy=strategy, seed=1)
+
+    def test_median_seeding_needs_no_row_norms(self):
+        with np.errstate(over="ignore"):  # the column variance overflows; the medians do not
+            tree = build_vtree(self.overflowing_norms(), 4, strategy="median")
+        assert tree.leaf_assignment.sizes().tolist() == [25, 25, 25, 25]
+
+    def test_cli_reports_an_overflowing_row_norm(self, tmp_path, capsys):
+        data = tmp_path / "huge.bin"
+        save_dataset(self.overflowing_norms(), data)
+        assert main(["partition", "-m", "4", "-i", str(data)]) == 2
+        assert "error: row 50's squared norm overflows float64" in capsys.readouterr().err
+        assert not (tmp_path / "huge.assignment.csv").exists()
+
 
 class TestRouting:
     def test_every_build_point_routes_home(self):
@@ -267,6 +293,24 @@ class TestRouting:
         for query in (route_point, route_point_counted, lambda t, p: affected_partitions(t, p, 0.5)):
             with pytest.raises(ValueError, match="^point's squared norm overflows float64$"):
                 query(tree, probe)
+
+    def test_strided_probe_answers_as_its_contiguous_copy(self):
+        # near-ties at center-pair midpoints, where the order of a probe's sums
+        # decides the route: a stride-2 view must get its copy's answers
+        for seed in range(6):
+            rng = make_rng(seed)
+            ds = Dataset(rng.normal(size=(300, 7)))
+            tree = build_vtree(ds, 16, strategy="kmeanspp", seed=seed)
+            mids = [(a.coords + b.coords) / 2.0 for node in internal_nodes(tree.root)
+                    for a, b in itertools.combinations(node.centers, 2)]
+            mids = np.repeat(mids, 20, axis=0)  # 20 noisy probes around each midpoint
+            block = np.zeros((len(mids), 14))
+            block[:, ::2] = mids + rng.normal(0.0, 1e-15, size=mids.shape)
+            for view in block[:, ::2]:
+                copy = view.copy()
+                assert not view.flags.c_contiguous
+                assert route_point_counted(tree, view) == route_point_counted(tree, copy)
+                assert affected_partitions(tree, view, 0.0) == affected_partitions(tree, copy, 0.0)
 
 
 def brute_force_affected(tree, coords, eps):
@@ -356,12 +400,16 @@ class TestQueryWalk:
     """The per-probe walk against reference walks through the batch node kernel."""
 
     # 8 and 1024 are the benchmark workloads' dimensions, where the walks'
-    # inline distances are 8- and 1024-term dot products
+    # inline distances are 8- and 1024-term dot products; 37 float dimensions
+    # give sums whose rounding depends on the order of the products, and 1 a
+    # single product
     WALK_DATA = {
         "float": lambda: random_dataset(73, 300, 5),
         "integer": lambda: integer_dataset(79, 300, 4),
         "float-8d": lambda: random_dataset(73, 300, 8),
         "float-1024d": lambda: random_dataset(73, 300, 1024),
+        "float-37d": lambda: random_dataset(73, 300, 37),
+        "float-1d": lambda: random_dataset(73, 300, 1),
     }
 
     @pytest.mark.parametrize("data", list(WALK_DATA))
@@ -382,8 +430,8 @@ class TestQueryWalk:
         if data == "integer":
             assert ties > 0  # exact midpoints did reach their nodes
 
-    # 37 float dimensions: sums whose rounding depends on the order of the
-    # products; 8 and 1024 are the benchmark workloads' dimensions
+    # the axis (median) nodes' distances; the walks inline the others, which
+    # the reference walks above check
     KERNEL_DATA = {
         "float": lambda: random_dataset(83, 200, 37),
         "integer": lambda: integer_dataset(83, 200, 6),
@@ -393,31 +441,31 @@ class TestQueryWalk:
     }
 
     @pytest.mark.parametrize("data", list(KERNEL_DATA))
-    @pytest.mark.parametrize("strategy,fanout", QUERY_BUILDS)
+    @pytest.mark.parametrize("strategy,fanout", [("median", 2)])
     def test_probe_distances_equal_node_kernel_bit_for_bit(self, data, strategy, fanout):
         ds = self.KERNEL_DATA[data]()
         tree = build_vtree(ds, 16, fanout=fanout, strategy=strategy, seed=5)
         probes = query_probes(ds, tree, 5)[::4]
         for node in internal_nodes(tree.root):
             for p in probes:
-                row, row_sq = _check_point(tree, p)
+                row = _check_point(tree, p)[0]
                 assert row.shape == (ds.dims,)
-                squared = np.array(_probe_distances(node, row, row_sq, real=False))
-                real = np.array(_probe_distances(node, row, row_sq, real=True))
+                squared = np.array(_axis_distances(node, row, real=False))
+                real = np.array(_axis_distances(node, row, real=True))
                 assert squared.tobytes() == node.squared_distances(row[None, :])[0].tobytes()
                 assert real.tobytes() == node.distances_from(row[None, :])[0].tobytes()
 
     @pytest.mark.parametrize("d", [1, 7, 8, 9, 17, 37, 1023, 1024, 1025])
     def test_probe_sqnorm_equals_row_sqnorms(self, d):
-        # the walks' 1-D norm must be the float row_sqnorms gives on the same
-        # row, contiguous or a strided view
+        # the walks' 1-D norm must be the float row_sqnorms gives on the row's
+        # contiguous copy, for a contiguous row and for a strided view alike
         rng = np.random.default_rng(d)
         tree = types.SimpleNamespace(dims=d)
         for scale in (1e-3, 1.0, 1e3, 1e100):
             block = rng.normal(size=(20, 2 * d)) * scale
             for row in list(block[:, :d]) + list(block[:, ::2]):
                 assert row.shape == (d,)
-                assert _check_point(tree, row)[1] == float(row_sqnorms(row[None, :])[0])
+                assert _check_point(tree, row)[1] == float(row_sqnorms(row.copy()[None, :])[0])
 
     @staticmethod
     def hand_built(tree, centers, sqnorms):
@@ -443,8 +491,7 @@ class TestQueryWalk:
             tree = self.hand_built(base, centers, [c[0] ** 2 + c[1] ** 2 for c in centers])
             first = 1
         probe = np.zeros(2)
-        row, row_sq = _check_point(tree, probe)
-        dists = _probe_distances(tree.root, row, row_sq, real=False)
+        dists = tree.root.squared_distances(probe[None, :])[0].tolist()
         assert dists.index(min(dists)) == first
         assert route_point_counted(tree, probe) == reference_route(tree, probe) == (first, len(dists))
         assert route_point(tree, probe) == first
