@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print six sha256 digests: build outputs, query answers, grid answers, 1024-d queries, assignment CSVs and variances.
+"""Print seven sha256 digests: build outputs, query answers, grid answers, 1024-d queries, assignment CSVs,
+variances and builds over several variance blocks.
 
 Run it on two checkouts; equal build digests (first line) mean every covered
 build wrote the same tree JSON, the same assignment CSV bytes and the same leaf
@@ -19,7 +20,10 @@ whose ids in shuffled order take every decimal width from 1 to 19 digits and
 either sign, at m up to 70000, with no, some or all rows affected. Equal
 variance digests (sixth line) mean ``variance_per_dimension``, the
 split-dimension variance of kd and median seeding, returned the same bytes on
-fixed datasets far from the origin.
+fixed datasets far from the origin. Equal block digests (seventh line) mean
+kd and median-seeded vtree builds whose nodes span several 16 MB blocks of
+the column variance wrote the same tree JSON, assignment CSV bytes and leaf
+ids.
 
 Covered: kd, and vtree with random, gnat, kmeanspp and median seeding (seeds
 0 and 1), at m in {2, 5, 16} and eps in {0, 0.5}, on a float set, a set where
@@ -29,7 +33,8 @@ data with both. High-dimensional queries: a 600x1024 Gaussian mixture, vtree
 with kmeanspp seeding at m=16 and eps in {0, 0.25}. CSVs: the ids at each width's edges
 plus 0, 50 or 40000 random ones, at m in {1, 7, 256, 70000}. Variances: normal
 data of n in {1, 2, 17, 4097} rows and d in {1, ..., 9, 64, 1024} columns, shifted
-by 0, 1e4, 1e8 and -1e12.
+by 0, 1e4, 1e8 and -1e12. Blocks: a 5000x1024 Gaussian mixture at m=16 and eps
+0.25, and 300000x8 uniform data at m=32 and eps 0.2, both from seed 1.
 
     python scripts/output_digest.py
 
@@ -51,6 +56,7 @@ from spacepart.core import (  # noqa: E402
     Dataset,
     PartitionAssignment,
     generate_gaussian_mixture,
+    generate_uniform,
     variance_per_dimension,
     write_assignment_csv,
 )
@@ -73,6 +79,7 @@ CSV_AFFECTED = (0.0, 0.5, 1.0)
 VAR_ROWS = (1, 2, 17, 4097)
 VAR_DIMS = (*range(1, 10), 64, 1024)
 VAR_OFFSETS = (0.0, 1e4, 1e8, -1e12)
+BLOCK_SEED = 1
 
 
 def datasets():
@@ -166,6 +173,19 @@ def variance_datasets():
                 yield f"variance {n}x{d} offset={offset}", Dataset(coords + offset)
 
 
+def block_builds():
+    """(label, build) of kd and median vtree builds whose nodes span several variance blocks."""
+    for label, ds, m, eps in (
+        ("5000x1024 mixture", generate_gaussian_mixture(5000, 1024, 8, seed=BLOCK_SEED), 16, 0.25),
+        ("300000x8 uniform", generate_uniform(300000, 8, seed=BLOCK_SEED), 32, 0.2),
+    ):
+        yield f"{label} kd m={m} eps={eps}", lambda ds=ds, m=m, eps=eps: kd_partition(ds, m, eps=eps)
+        yield (
+            f"{label} vtree:median m={m} eps={eps}",
+            lambda ds=ds, m=m, eps=eps: build_vtree(ds, m, strategy="median", eps=eps, seed=0),
+        )
+
+
 def outputs(tree, csv_path) -> bytes:
     if hasattr(tree, "leaf_nodes"):
         tree_json, assignment, leaf_ids = vtree_to_json(tree), tree.leaf_assignment, sorted(tree.leaf_nodes)
@@ -232,6 +252,14 @@ def main():
         var_digest.update(label.encode() + b"\0" + variance_per_dimension(ds).tobytes() + b"\n")
         sets += 1
     print(f"{sets} variance datasets  sha256 {var_digest.hexdigest()}")
+    block_digest = hashlib.sha256()
+    blocks = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "assignment.csv")
+        for label, build in block_builds():
+            block_digest.update(label.encode() + b"\0" + outputs(build(), csv_path) + b"\n")
+            blocks += 1
+    print(f"{blocks} builds over several variance blocks  sha256 {block_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

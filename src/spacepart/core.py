@@ -183,38 +183,107 @@ def euclidean_distance(a, b) -> float:
 # A column-sum microbenchmark choice: no workload runs between 9 and 1023 columns,
 # so nothing verifies the cutoff end to end
 _EINSUM_MAX_COLUMNS = 128
+# values in one block of ``_column_variance``: 2**21 float64s, 16 MB
+_BLOCK_VALUES = 1 << 21
 
 
-def _column_variance(x: np.ndarray) -> np.ndarray:
-    """Population variance of each column of an ``(n, d)`` float64 array: ``x.var(axis=0)``'s bits.
+def _block_rows(d: int) -> int:
+    """The rows of ``d`` columns in one block of ``_column_variance``."""
+    return max(1, _BLOCK_VALUES // d)
 
-    numpy's ``var`` sums the columns of C-contiguous rows with one d-element
-    inner loop per row; ``einsum("ij->j")`` adds the same rows in the same
-    order without that per-row cost. Between the two column sums stay numpy's
-    own ``x - mean`` and in-place square, so the n x d deviation temporary
-    is still there. The per-row cost only shows on narrow rows, so rows
-    wider than ``_EINSUM_MAX_COLUMNS`` go to ``var`` itself. So does d = 1,
-    whose one contiguous column numpy sums pairwise, and so do rows that are
-    not C-contiguous, which it may sum in yet another order.
+
+def _column_sum(x: np.ndarray) -> np.ndarray:
+    """Each column of C-contiguous rows summed row after row from row 0, as ``var`` sums it."""
+    return np.einsum("ij->j", x) if x.shape[1] <= _EINSUM_MAX_COLUMNS else np.add.reduce(x, axis=0)
+
+
+def _column_variance(coords: np.ndarray, rows=None) -> np.ndarray:
+    """Population variance of each column of ``coords[rows]``: ``coords[rows].var(axis=0)``'s bits.
+
+    ``rows`` (None: every row) are row numbers of the ``(n, d)`` float64
+    ``coords``. numpy's ``var`` sums the columns of C-contiguous rows with one
+    d-element inner loop per row; ``einsum("ij->j")`` adds the same rows in
+    the same order without that per-row cost, so it sums rows up to
+    ``_EINSUM_MAX_COLUMNS`` wide and ``np.add.reduce`` wider ones. The mean,
+    the subtraction, the square and the final divide are numpy's own.
+
+    Rows that fit one block (``_block_rows``) are read in one piece: their
+    deviations are one temporary as large as the rows, and rows wider than
+    ``_EINSUM_MAX_COLUMNS`` go to ``var`` itself. Larger inputs are read a
+    block at a time, so no temporary outgrows a block: a block is a view of
+    ``coords`` when ``rows`` is None and otherwise a copy taken from it, and
+    its deviations go to one reused buffer. Row 0 of that buffer carries each
+    column's running sum into the next block's sum, so every column is still
+    summed row after row. The mean of all rows takes no blocks, as a column
+    sum makes no temporary. d = 1, whose one contiguous column numpy sums
+    pairwise, and non-contiguous ``coords`` without ``rows``, which it may
+    sum in yet another order, go to ``var``.
     """
-    n, d = x.shape
-    if d == 1 or d > _EINSUM_MAX_COLUMNS or not x.flags.c_contiguous:
-        return x.var(axis=0)
-    dev = x - np.einsum("ij->j", x) / n
-    np.square(dev, out=dev)
-    return np.einsum("ij->j", dev) / n
+    n, d = (coords.shape[0] if rows is None else len(rows)), coords.shape[1]
+    step = _block_rows(d)
+    if n <= step or d == 1 or (rows is None and not coords.flags.c_contiguous):
+        x = coords if rows is None else coords[rows]
+        if d == 1 or d > _EINSUM_MAX_COLUMNS or not x.flags.c_contiguous:
+            return x.var(axis=0)
+        dev = x - np.einsum("ij->j", x) / n
+        np.square(dev, out=dev)
+        return np.einsum("ij->j", dev) / n
+    buf = np.empty((step + 1, d))  # row 0: the running column sums
+
+    def blocks():
+        """(buffer rows, the block's rows): a view of ``coords``, or the buffer holding their copy."""
+        for lo in range(0, n, step):
+            blk = buf[1 : 1 + min(step, n - lo)]
+            if rows is None:
+                yield blk, coords[lo : lo + step]
+            else:  # the rows are valid; "clip" spares the copy that "raise" makes for ``out``
+                yield blk, np.take(coords, rows[lo : lo + step], axis=0, out=blk, mode="clip")
+
+    if rows is None:
+        mean = _column_sum(coords) / n
+    else:
+        buf[0] = 0.0
+        for blk, _ in blocks():
+            buf[0] = _column_sum(buf[: len(blk) + 1])
+        mean = buf[0] / n
+    buf[0] = 0.0
+    for blk, x in blocks():
+        np.subtract(x, mean, out=blk)
+        np.square(blk, out=blk)
+        buf[0] = _column_sum(buf[: len(blk) + 1])
+    return buf[0] / n
+
+
+def _widest_axis(coords: np.ndarray, rows=None) -> int:
+    """The split axis of kd and median seeding: the column of ``coords[rows]`` with the largest variance.
+
+    The argmax of ``_column_variance``. Rows near 1e160 overflow their
+    variances to inf, and the first inf would win whatever the spread; then
+    the rows, scaled by the power of two that brings their largest magnitude
+    into [0.5, 1), are taken again. The scaling is exact, so the axis follows
+    the real spread. Finite variances never take that path.
+    """
+    with np.errstate(over="ignore"):
+        var = _column_variance(coords, rows)
+    axis = int(np.argmax(var))
+    if var[axis] == np.inf:
+        x = coords if rows is None else coords[rows]
+        axis = int(np.argmax(_column_variance(np.ldexp(x, -np.frexp(np.abs(x).max())[1]))))
+    return axis
 
 
 def variance_per_dimension(ds: Dataset) -> np.ndarray:
     """Population variance of each coordinate across all points.
 
     This is the split-dimension variance of the kd-tree partitioner and of
-    median seeding: both take the argmax of ``_column_variance`` over their
-    node's rows, so all three give one answer. Each column is summed row
-    after row, from row 0 down, for the mean and again for the squared
-    deviations; at d = 1 the one column is summed pairwise, as numpy's
-    ``var`` does. The bits depend on the layout, so callers pass C-contiguous
-    rows (a dataset's coordinates and a node's gathered copy are).
+    median seeding: both take their axis from ``_widest_axis``, the argmax of
+    ``_column_variance`` over their node's rows, so all three give one
+    answer. A variance that overflows is returned as inf; only the axis
+    choice looks past it. Each column is summed row after row, from row 0
+    down, for the mean and again for the squared deviations; at d = 1 the
+    one column is summed pairwise, as numpy's ``var`` does. The bits depend
+    on the layout, so callers pass C-contiguous rows (a dataset's
+    coordinates and a node's gathered copy are).
     """
     return _column_variance(ds.coords)
 
@@ -376,9 +445,9 @@ class NodeRows:
 
     ``rows`` are the node's dataset row numbers, None at the root. The node
     reads the dataset in place (a pass over it, cut down by ``take``) until
-    ``gather`` copies its rows out; from then on the arrays are that copy. The
-    copy is the node's alone: children are row subsets of the dataset, so it
-    goes with the node once its split returns.
+    its split calls ``gather`` to copy its rows out; from then on the arrays
+    are that copy. The copy is the node's alone: children are row subsets of
+    the dataset, so it goes with the node once its split returns.
     """
 
     __slots__ = ("coords", "sqnorms", "ids", "rows", "gathered")
@@ -414,9 +483,9 @@ def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
     """The split loop of both trees: grow m leaves, always splitting the largest.
 
     Owns the node rows (``NodeRows`` over the dataset's arrays), the affected
-    mask and the labels; a builder only cuts one node. A node under half of
-    the dataset gathers its rows right before its split, and the copy is
-    dropped when the split returns; a pending leaf holds only its row
+    mask and the labels; a builder only cuts one node. The driver copies no
+    node: each builder's split decides whether to gather its node, and the
+    copy is dropped when the split returns; a pending leaf holds only its row
     numbers. ``split(tag, node, room)`` cuts a leaf into 2 to ``room``
     children (``room`` counts the leaves still missing, this one included)
     and returns per-row child labels, the affected node rows (mask or
@@ -433,8 +502,6 @@ def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
     while len(leaves) < m:
         _, lid = heapq.heappop(heap)
         tag, node = leaves.pop(lid)
-        if 2 * node.n < n:
-            node.gather()
         child_labels, aff, tags = split(tag, node, m - len(leaves))
         affected[node.dataset_rows(aff)] = True
         for c, child_tag in enumerate(tags):

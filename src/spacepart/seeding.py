@@ -10,9 +10,9 @@ Four ways to pick the k split centers of one node:
   with probability proportional to its squared distance from the nearest
   already-chosen seed, which gravitates toward cluster centroids.
 - ``median``: the two points straddling the median of the highest-variance
-  dimension, reproducing an axis median split (fanout 2 only). The variance
-  is ``core._column_variance``, the kd-tree's split-dimension variance, so on
-  the same rows both pick the same axis.
+  dimension, reproducing an axis median split (fanout 2 only). The axis
+  comes from ``core._widest_axis``, the kd-tree's split-dimension choice, so
+  on the same rows both pick the same axis.
 
 Every strategy is a pure function of (points, k, seed): ties break toward the
 lowest point id and sampling uses an inverse-CDF over an explicit uniform
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STRATEGY_KINDS, Point, as_point_arrays, _column_variance, make_rng
+from .core import STRATEGY_KINDS, Point, _widest_axis, as_point_arrays, make_rng
 from .kdtree import select_median
 
 __all__ = [
@@ -204,7 +204,7 @@ def median_positions(coords: np.ndarray, ids: np.ndarray, k: int = 2) -> tuple[l
     n = coords.shape[0]
     if n < 2:
         raise ValueError("median seeding needs at least 2 points")
-    axis = int(np.argmax(_column_variance(coords)))
+    axis = _widest_axis(coords)
     col = coords[:, axis]
     median = select_median(col)
 

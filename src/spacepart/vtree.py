@@ -237,7 +237,9 @@ def build_vtree(
     with fresh seed draws and then accepted (deterministic strategies
     reproduce the same split and are accepted as-is). Reproducible from the
     seed. ``core.split_largest_leaf`` runs the loop and owns the rows; this
-    function only cuts one node. Only final leaves get ``members``.
+    function only cuts one node, and gathers it first when it holds under
+    half of the dataset (median seeding always gathers). Only final leaves
+    get ``members``.
     """
     if not isinstance(strategy, SeedStrategy):
         strategy = SeedStrategy(strategy)
@@ -267,6 +269,8 @@ def build_vtree(
 
     def split(vnode, node, room):
         nonlocal scan
+        if 2 * node.n < ds.n:  # the matvec's bits depend on the shape of the rows it reads
+            node.gather()
         k = min(fanout, room, node.n)
         if kind == "median":
             coords = node.gather().coords

@@ -132,6 +132,42 @@ class TestVariancePerDimension:
                 assert core._column_variance(arr).tobytes() == arr.var(axis=0).tobytes()
             assert variance_per_dimension(Dataset(x)).tobytes() == x.var(axis=0).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 8, 129, 1024])
+    @pytest.mark.parametrize("rows_past_step", [-1, 0, 1, "3step+5"])
+    def test_row_blocks_have_numpys_bits(self, d, rows_past_step):
+        # node row counts on either side of one block and across several, picked
+        # in ascending order from a dataset with 1/16 more rows, far from the origin
+        # too; the input is read-only, as a dataset's coordinates are
+        step = core._block_rows(d)
+        n = 3 * step + 5 if rows_past_step == "3step+5" else step + rows_past_step
+        rng = np.random.default_rng(n * 7 + d)
+        base = rng.normal(size=(n + n // 16 + 3, d)) * rng.uniform(0.1, 100.0, size=d)
+        rows = np.sort(rng.choice(len(base), size=n, replace=False))
+        for offset in (0.0, 1e4, 1e8, -1e12):
+            x = base + offset
+            node = x[rows]
+            x.setflags(write=False)
+            node.setflags(write=False)
+            want = node.var(axis=0).tobytes()
+            assert core._column_variance(x, rows).tobytes() == want
+            assert core._column_variance(node).tobytes() == want
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_variances_pick_the_widest_axis(self):
+        # 50 uniform rows and 50 rows near 1e160, column 5 ten times wider: every
+        # variance overflows, and the axis must still follow the real spread
+        coords = core.make_rng(0).uniform(size=(100, 8))
+        coords[50:] *= 1e160
+        coords[:, 5] *= 10.0
+        ds = Dataset(coords)
+        with np.errstate(over="ignore"):
+            assert np.isinf(variance_per_dimension(ds)).all()
+        assert core._widest_axis(ds.coords) == 5
+        assert core._widest_axis(ds.coords, np.arange(100)) == 5
+        assert kd_partition(ds, 2).root.split_dim == 5
+        assert median_positions(ds.coords, ds.ids)[1] == 5
+        assert build_vtree(ds, 2, strategy="median", seed=0).root.axis == 5
+
     @pytest.mark.parametrize("d", [3, 8, 1024])
     def test_kd_median_seeding_and_variance_pick_one_axis(self, d):
         # every column is a permutation of the same values: the variances are equal
@@ -413,6 +449,10 @@ class TestSplitLargestLeaf:
         def split(tag, node, room):
             # a gather lasts only for its split: no earlier copy is still alive
             assert all(copy() is None for copy in copies.values())
+            # the driver copies no node; this split gathers the nodes under half of the dataset
+            assert node.coords is coords and node.ids is ids
+            if 2 * node.n < 10:
+                node.gather()
             seen.append(tag)
             rows = node.dataset_rows()
             assert np.array_equal(rows, np.arange(10) if tag == "r" else node.rows)
@@ -468,6 +508,30 @@ class TestBuildMemory:
     )
     def test_peak_allocation_within_limit_of_data(self, build, limit):
         ds = generate_gaussian_mixture(4000, 256, 8, seed=0)
+        tracemalloc.start()
+        try:
+            build(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / ds.coords.nbytes
+        assert ratio <= limit, f"peak allocation {ratio:.2f}x the data, limit {limit}x"
+
+    @pytest.mark.parametrize(
+        "build, limit",
+        [
+            # 8000x1024 is 65 MB, four 16 MB variance blocks: a split holds a node's
+            # copy of at most one block plus its deviations (0.50x), and kd copies no
+            # larger node. Median seeding gathers every node but reads it in blocks
+            # (0.76x). Both peaked at 1.00x when the whole root's variance was one
+            # temporary.
+            (lambda ds: kd_partition(ds, 16), 0.6),
+            (lambda ds: build_vtree(ds, 16, strategy="median", seed=0), 0.85),
+        ],
+        ids=["kd", "median"],
+    )
+    def test_peak_allocation_of_nodes_over_several_blocks(self, build, limit):
+        ds = generate_gaussian_mixture(8000, 1024, 8, seed=0)
         tracemalloc.start()
         try:
             build(ds)
