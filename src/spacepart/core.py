@@ -222,7 +222,7 @@ def _column_variance(coords: np.ndarray, rows=None) -> np.ndarray:
     n, d = (coords.shape[0] if rows is None else len(rows)), coords.shape[1]
     step = _block_rows(d)
     if n <= step or d == 1 or (rows is None and not coords.flags.c_contiguous):
-        x = coords if rows is None else coords[rows]
+        x = coords if rows is None else np.take(coords, rows, axis=0)  # a third faster than coords[rows]
         if d == 1 or d > _EINSUM_MAX_COLUMNS or not x.flags.c_contiguous:
             return x.var(axis=0)
         dev = x - np.einsum("ij->j", x) / n
@@ -260,8 +260,10 @@ def _widest_axis(coords: np.ndarray, rows=None) -> int:
     The argmax of ``_column_variance``. Rows near 1e160 overflow their
     variances to inf, and the first inf would win whatever the spread; then
     the rows, scaled by the power of two that brings their largest magnitude
-    into [0.5, 1), are taken again. The scaling is exact, so the axis follows
-    the real spread. Finite variances never take that path.
+    into [0.5, 1), are taken again. The scaling is exact except for values it
+    pushes below the normal range, so the axis follows the real spread.
+    Finite variances never take that path; it copies the rows whole, so it
+    is not held to the two blocks of ``_column_variance``.
     """
     with np.errstate(over="ignore"):
         var = _column_variance(coords, rows)
@@ -484,11 +486,11 @@ def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
 
     Owns the node rows (``NodeRows`` over the dataset's arrays), the affected
     mask and the labels; a builder only cuts one node. The driver copies no
-    node: each builder's split decides whether to gather its node, and the
-    copy is dropped when the split returns; a pending leaf holds only its row
-    numbers. ``split(tag, node, room)`` cuts a leaf into 2 to ``room``
-    children (``room`` counts the leaves still missing, this one included)
-    and returns per-row child labels, the affected node rows (mask or
+    node: each builder's split decides whether to gather its node (kd's never
+    does), and the copy is dropped when the split returns; a pending leaf
+    holds only its row numbers. ``split(tag, node, room)`` cuts a leaf into 2
+    to ``room`` children (``room`` counts the leaves still missing, this one
+    included) and returns per-row child labels, the affected node rows (mask or
     positions) and one tag per child. Ties between equally large leaves go to
     the lowest leaf id; child 0 keeps its parent's id, the others take the
     next unused ids. Returns ``{leaf id: (tag, dataset rows)}``, every dataset

@@ -8,12 +8,11 @@ dimension with ``np.partition``, and routes points left/right with a
 deterministic tie rule that guarantees the two sides differ by at most one
 point. Leaves are the partitions.
 
-A node whose rows fit one block of the column variance (``core._block_rows``,
-16 MB of coordinates) is gathered into its own copy, which the split reads in
-one piece. A larger node is never copied: its variance reads it from the
-dataset a block of rows at a time, and its split dimension is one gathered
-column. So a split holds at most two blocks on top of the dataset, and the
-outputs do not depend on which way a node was read.
+A node is never copied: the split reads its rows in the dataset. Its
+variance takes rows that fit one 16 MB block in one piece and a larger node a
+block of rows at a time, and its split dimension is one column of them. So
+a split whose variances are finite holds at most two blocks on top of the
+dataset (see ``core._widest_axis`` for the overflow case).
 
 ``scan_count`` counts rows read: one pass each for variance, selection and
 labelling per split, plus the eps band pass when eps > 0 (at eps = 0 the band
@@ -31,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Dataset, PartitionAssignment, _block_rows, _widest_axis, split_largest_leaf
+from .core import Dataset, PartitionAssignment, _widest_axis, split_largest_leaf
 
 __all__ = [
     "KdNode",
@@ -107,8 +106,8 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
     root-to-leaf path.
 
     ``core.split_largest_leaf`` runs the loop and owns the rows; each split
-    here cuts one node at the median and hangs it from its slot, gathering
-    the node first only when its rows fit one variance block.
+    here cuts one node at the median, reading its rows in the dataset, and
+    hangs it from its slot.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -119,23 +118,19 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
 
     top = SimpleNamespace(root=0)  # the slot the root hangs from
     scan = 0
-    block_rows = _block_rows(ds.dims)
 
     def split(slot, node, room):
         nonlocal scan
-        n_node = node.n
-        if n_node <= block_rows:
-            node.gather()
-        rows = None if node.gathered else node.rows  # None: the arrays hold just the node's rows
+        n_node, rows = node.n, node.rows  # rows: None at the root
 
-        split_dim = _widest_axis(node.coords, rows)
-        col = node.coords[:, split_dim] if rows is None else node.coords[rows, split_dim]
+        split_dim = _widest_axis(ds.coords, rows)
+        col = ds.coords[:, split_dim] if rows is None else ds.coords[rows, split_dim]
         median = select_median(col)
 
         left_mask = col < median
         eq_pos = np.flatnonzero(col == median)
         need = (n_node + 1) // 2 - int(left_mask.sum())
-        eq_ids = node.ids[eq_pos if rows is None else rows[eq_pos]]
+        eq_ids = ds.ids[eq_pos if rows is None else rows[eq_pos]]
         order = np.argsort(eq_ids, kind="stable")
         left_mask[eq_pos[order[:need]]] = True
         tie_left_max_id = int(eq_ids[order[need - 1]]) if need > 0 else None
