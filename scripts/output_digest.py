@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print seven sha256 digests: build outputs, query answers, grid answers, 1024-d queries, assignment CSVs,
-variances and builds over several variance blocks.
+"""Print eight sha256 digests: build outputs, query answers, grid answers, 1024-d queries, assignment CSVs,
+variances, builds over several variance blocks and vtree builds whose distance columns read several blocks.
 
 Run it on two checkouts; equal build digests (first line) mean every covered
 build wrote the same tree JSON, the same assignment CSV bytes and the same leaf
@@ -23,7 +23,9 @@ split-dimension variance of kd and median seeding, returned the same bytes on
 fixed datasets far from the origin. Equal block digests (seventh line) mean
 kd and median-seeded vtree builds whose nodes span several 16 MB blocks of
 the column variance wrote the same tree JSON, assignment CSV bytes and leaf
-ids.
+ids. Equal column-block digests (eighth line) mean the same of random, gnat
+and kmeans++ vtree builds in which some node under half of the dataset spans
+several 16 MB blocks, so that its distance columns read it in 1 MB pieces.
 
 Covered: kd, and vtree with random, gnat, kmeanspp and median seeding (seeds
 0 and 1), at m in {2, 5, 16} and eps in {0, 0.5}, on a float set, a set where
@@ -34,7 +36,8 @@ with kmeanspp seeding at m=16 and eps in {0, 0.25}. CSVs: the ids at each width'
 plus 0, 50 or 40000 random ones, at m in {1, 7, 256, 70000}. Variances: normal
 data of n in {1, 2, 17, 4097} rows and d in {1, ..., 9, 64, 1024} columns, shifted
 by 0, 1e4, 1e8 and -1e12. Blocks: a 5000x1024 Gaussian mixture at m=16 and eps
-0.25, and 300000x8 uniform data at m=32 and eps 0.2, both from seed 1.
+0.25, and 300000x8 uniform data at m=32 and eps 0.2, both from seed 1. Column
+blocks: the same 5000x1024 mixture at m=16 and eps 0.25, vtree seeds 0 and 1.
 
     python scripts/output_digest.py
 
@@ -80,6 +83,7 @@ VAR_ROWS = (1, 2, 17, 4097)
 VAR_DIMS = (*range(1, 10), 64, 1024)
 VAR_OFFSETS = (0.0, 1e4, 1e8, -1e12)
 BLOCK_SEED = 1
+BLOCK_MIXTURE = (5000, 1024, 8)
 
 
 def datasets():
@@ -176,7 +180,7 @@ def variance_datasets():
 def block_builds():
     """(label, build) of kd and median vtree builds whose nodes span several variance blocks."""
     for label, ds, m, eps in (
-        ("5000x1024 mixture", generate_gaussian_mixture(5000, 1024, 8, seed=BLOCK_SEED), 16, 0.25),
+        ("5000x1024 mixture", generate_gaussian_mixture(*BLOCK_MIXTURE, seed=BLOCK_SEED), 16, 0.25),
         ("300000x8 uniform", generate_uniform(300000, 8, seed=BLOCK_SEED), 32, 0.2),
     ):
         yield f"{label} kd m={m} eps={eps}", lambda ds=ds, m=m, eps=eps: kd_partition(ds, m, eps=eps)
@@ -184,6 +188,29 @@ def block_builds():
             f"{label} vtree:median m={m} eps={eps}",
             lambda ds=ds, m=m, eps=eps: build_vtree(ds, m, strategy="median", eps=eps, seed=0),
         )
+
+
+def column_block_builds():
+    """(label, build) of random, gnat and kmeans++ vtree builds with a node under half of the data over one block."""
+    ds = generate_gaussian_mixture(*BLOCK_MIXTURE, seed=BLOCK_SEED)
+    for strategy in STRATEGIES[:3]:
+        for seed in SEEDS:
+            yield (
+                f"5000x1024 mixture vtree:{strategy} seed={seed} m=16 eps=0.25",
+                lambda s=strategy, seed=seed: build_vtree(ds, 16, strategy=s, eps=0.25, seed=seed),
+            )
+
+
+def build_digest(builds) -> tuple[int, str]:
+    """The number of builds and the sha256 of their labels and ``outputs``."""
+    digest = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "assignment.csv")
+        for label, build in builds:
+            digest.update(label.encode() + b"\0" + outputs(build(), csv_path) + b"\n")
+            count += 1
+    return count, digest.hexdigest()
 
 
 def outputs(tree, csv_path) -> bytes:
@@ -252,14 +279,8 @@ def main():
         var_digest.update(label.encode() + b"\0" + variance_per_dimension(ds).tobytes() + b"\n")
         sets += 1
     print(f"{sets} variance datasets  sha256 {var_digest.hexdigest()}")
-    block_digest = hashlib.sha256()
-    blocks = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        csv_path = os.path.join(tmp, "assignment.csv")
-        for label, build in block_builds():
-            block_digest.update(label.encode() + b"\0" + outputs(build(), csv_path) + b"\n")
-            blocks += 1
-    print(f"{blocks} builds over several variance blocks  sha256 {block_digest.hexdigest()}")
+    print("%d builds over several variance blocks  sha256 %s" % build_digest(block_builds()))
+    print("%d vtree builds over several column blocks  sha256 %s" % build_digest(column_block_builds()))
 
 
 if __name__ == "__main__":

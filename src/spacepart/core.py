@@ -183,12 +183,15 @@ def euclidean_distance(a, b) -> float:
 # A column-sum microbenchmark choice: no workload runs between 9 and 1023 columns,
 # so nothing verifies the cutoff end to end
 _EINSUM_MAX_COLUMNS = 128
-# values in one block of ``_column_variance``: 2**21 float64s, 16 MB
+# values in one block: 2**21 float64s, 16 MB. ``_column_variance`` reads larger
+# inputs a block at a time. The vtree's distance columns share the block
+# (``vtree._distance_column``): a random, gnat or kmeans++ node under half of
+# the dataset is gathered when it fits one block and read in 1 MB pieces when not
 _BLOCK_VALUES = 1 << 21
 
 
 def _block_rows(d: int) -> int:
-    """The rows of ``d`` columns in one block of ``_column_variance``."""
+    """The rows of ``d`` columns in one block."""
     return max(1, _BLOCK_VALUES // d)
 
 
@@ -446,10 +449,14 @@ class NodeRows:
     """One node's points: ``rows`` of the dataset's ``coords``, ``sqnorms`` (or None) and ``ids``.
 
     ``rows`` are the node's dataset row numbers, None at the root. The node
-    reads the dataset in place (a pass over it, cut down by ``take``) until
-    its split calls ``gather`` to copy its rows out; from then on the arrays
-    are that copy. The copy is the node's alone: children are row subsets of
-    the dataset, so it goes with the node once its split returns.
+    reads the dataset in place (a pass over it, cut down by ``take``, or a
+    block or piece of its rows at a time, as kd's variance and the vtree's
+    distance columns read nodes larger than one block) until its split calls
+    ``gather`` to copy its rows out; from then on the arrays are that copy.
+    Only the vtree gathers: a node under half of the dataset that fits one
+    block, and every median-seeded node. The copy is the node's alone:
+    children are row subsets of the dataset, so it goes with the node once
+    its split returns.
     """
 
     __slots__ = ("coords", "sqnorms", "ids", "rows", "gathered")
@@ -487,14 +494,16 @@ def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
     Owns the node rows (``NodeRows`` over the dataset's arrays), the affected
     mask and the labels; a builder only cuts one node. The driver copies no
     node: each builder's split decides whether to gather its node (kd's never
-    does), and the copy is dropped when the split returns; a pending leaf
-    holds only its row numbers. ``split(tag, node, room)`` cuts a leaf into 2
-    to ``room`` children (``room`` counts the leaves still missing, this one
-    included) and returns per-row child labels, the affected node rows (mask or
-    positions) and one tag per child. Ties between equally large leaves go to
-    the lowest leaf id; child 0 keeps its parent's id, the others take the
-    next unused ids. Returns ``{leaf id: (tag, dataset rows)}``, every dataset
-    row's leaf id and the affected mask.
+    does; the vtree's gathers a node under half of the dataset that fits one
+    block, and every median-seeded node), and the copy is dropped when the
+    split returns; a pending leaf holds only its row numbers.
+    ``split(tag, node, room)`` cuts a leaf into 2 to ``room`` children
+    (``room`` counts the leaves still missing, this one included) and returns
+    per-row child labels, the affected node rows (mask or positions) and one
+    tag per child. Ties between equally large leaves go to the lowest leaf id;
+    child 0 keeps its parent's id, the others take the next unused ids.
+    Returns ``{leaf id: (tag, dataset rows)}``, every dataset row's leaf id
+    and the affected mask.
     """
     n = len(ids)
     affected = np.zeros(n, dtype=bool)

@@ -7,7 +7,9 @@ them by design.
 
 CSV: one point per row of comma-separated decimal floats, LF line endings, no
 header unless requested. Ids default to the row index; an id column can be
-named on load.
+named on load. Its tokens are parsed with ``int``, so ids keep every digit:
+a token that is not an ASCII decimal integer (``7.0``, ``1e3``, ``1_000``) or
+lies outside int64 is an error naming its line.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import Dataset
 
 MAGIC = b"NDPT"
 _HEADER = struct.Struct("<II")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 __all__ = ["DatasetFormatError", "save_dataset", "load_dataset", "detect_format", "MAGIC"]
 
@@ -65,7 +68,7 @@ def load_dataset(path, format: str | None = None, header: bool = False, id_colum
     """Read a dataset, auto-detecting binary vs CSV from the magic bytes.
 
     ``header`` skips the first CSV line; ``id_column`` names the CSV column
-    holding integer point ids (remaining columns are coordinates).
+    holding decimal int64 point ids (remaining columns are coordinates).
     """
     if format is None:
         format = detect_format(path)
@@ -118,6 +121,15 @@ def _load_csv(path, header: bool = False, id_column: int | None = None) -> Datas
                     raise DatasetFormatError(f"{path}: id column {id_column} out of range for {width} fields")
             elif len(fields) != width:
                 raise DatasetFormatError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+            if id_column is not None:
+                tok = fields.pop(id_column)
+                try:  # int() would also take digit groups (1_000) and non-ASCII digits
+                    ident = int(tok) if tok.isascii() and "_" not in tok else None
+                except ValueError:
+                    ident = None
+                if ident is None or not _INT64_MIN <= ident <= _INT64_MAX:
+                    raise DatasetFormatError(f"{path}: line {lineno}: id {tok!r} is not a decimal int64")
+                ids.append(ident)
             try:
                 values = [float(tok) for tok in fields]
             except ValueError:
@@ -125,11 +137,6 @@ def _load_csv(path, header: bool = False, id_column: int | None = None) -> Datas
             for tok, v in zip(fields, values):
                 if not np.isfinite(v):
                     raise DatasetFormatError(f"{path}: line {lineno}: non-finite value {tok!r}")
-            if id_column is not None:
-                raw_id = values.pop(id_column)
-                if raw_id != int(raw_id):
-                    raise DatasetFormatError(f"{path}: line {lineno}: id {raw_id!r} is not an integer")
-                ids.append(int(raw_id))
             rows.append(values)
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")

@@ -165,6 +165,25 @@ def test_missing_input_file_is_runtime_error(tmp_path, capsys):
     assert "error" in stderr.lower()
 
 
+def test_partition_writes_csv_ids_exactly(tmp_path, capsys):
+    data = tmp_path / "ids.csv"
+    data.write_text("9007199254740993,0.0\n3,1.0\n")
+    out = tmp_path / "part"
+    code, _, _ = run(capsys, "partition", "--scheme", "kdtree", "-m", "2", "--id-column", "0", "-i", str(data),
+                     "-o", str(out))
+    assert code == 0
+    assert (tmp_path / "part.assignment.csv").read_text() == "3,1,0\n9007199254740993,0,1\n"
+
+
+def test_partition_reports_an_id_outside_int64(tmp_path, capsys):
+    # a float parse took 1e19 to an OverflowError: a traceback and exit 1
+    data = tmp_path / "ids.csv"
+    data.write_text("1e19,0.0\n3,1.0\n")
+    code, _, stderr = run(capsys, "partition", "--id-column", "0", "-i", str(data), "-o", str(tmp_path / "part"))
+    assert code == 2
+    assert "line 1: id '1e19' is not a decimal int64" in stderr
+
+
 def test_invalid_choice_is_usage_error(capsys):
     code, _, _ = run(capsys, "partition", "--scheme", "balloon", "-i", "x")
     assert code == 1

@@ -61,6 +61,28 @@ def test_csv_id_column(tmp_path):
     assert ds.coords.tolist() == [[1.5, 2.5], [3.5, 4.5]]
 
 
+@pytest.mark.parametrize("ident", [2**53 + 1, 2**63 - 1, -(2**63)])
+def test_csv_ids_keep_every_digit(tmp_path, ident):
+    # 2**53 + 1 = 9007199254740993 has no float64; a float parse loaded it as ...992
+    path = tmp_path / "ids.csv"
+    path.write_text(f"5,1.5\n{ident},2.5\n")
+    if ident < 0:  # parsed exactly, then refused as a point id
+        with pytest.raises(DatasetFormatError, match="non-negative"):
+            load_dataset(path, id_column=0)
+    else:
+        assert load_dataset(path, id_column=0).ids.tolist() == [5, ident]
+
+
+@pytest.mark.parametrize(
+    "token", ["1e19", "7.0", "1e3", str(2**63), str(-(2**63) - 1), "nan", "x", "1_000", "\u0661\u0662"]
+)
+def test_csv_id_that_is_no_decimal_int64_names_line(tmp_path, token):
+    path = tmp_path / "ids.csv"
+    path.write_text(f"5,1.5\n{token},2.5\n")
+    with pytest.raises(DatasetFormatError, match=f"line 2: id '{token}' is not a decimal int64$"):
+        load_dataset(path, id_column=0)
+
+
 def test_csv_inconsistent_width_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3,4\n5,6,7,8\n9,10,11\n")

@@ -10,7 +10,7 @@ import pytest
 
 from spacepart import vtree as vtree_module
 from spacepart.cli import main
-from spacepart.core import Dataset, Point, make_rng
+from spacepart.core import Dataset, NodeRows, Point, make_rng
 from spacepart.dataio import save_dataset
 from spacepart.kdtree import kd_partition
 from spacepart.vtree import (
@@ -20,6 +20,7 @@ from spacepart.vtree import (
     affected_partitions,
     assign_to_centers,
     build_vtree,
+    expansion_column,
     merge_order,
     route_point,
     route_point_counted,
@@ -238,6 +239,66 @@ class TestBuild:
         assert main(["partition", "-m", "4", "-i", str(data)]) == 2
         assert "error: row 50's squared norm overflows float64" in capsys.readouterr().err
         assert not (tmp_path / "huge.assignment.csv").exists()
+
+
+def column_block_datasets():
+    """Sets on which a shrunken block makes nodes under half of the data span several blocks."""
+    rng = np.random.default_rng(20160407)
+    centers = rng.uniform(0.0, 100.0, size=(4, 33))
+    locations = rng.normal(size=(13, 6))
+    return {
+        "mixture": Dataset(centers[np.arange(260) % 4] + rng.normal(0.0, 5.0, size=(260, 33))),
+        "repeated": Dataset(locations[rng.permutation(np.repeat(np.arange(13), 20))]),
+        "lattice": Dataset(rng.integers(0, 3, size=(260, 4)).astype(float)),
+        "offset": Dataset(rng.normal(size=(260, 17)) + 1e6),
+    }
+
+
+class TestColumnPieces:
+    @pytest.mark.parametrize("name", ["mixture", "repeated", "lattice", "offset"])
+    def test_block_size_changes_no_output(self, monkeypatch, name):
+        # every node fits the default block and is gathered; blocks and pieces of
+        # 1, 7 and 64 rows (plus a remainder of values) read the nodes under half
+        # of the data a piece at a time: pieces of 4, 4 and 64 rows
+        ds = column_block_datasets()[name]
+
+        def outputs():
+            out = []
+            for strategy, seed, m, eps in itertools.product(
+                ("random", "gnat", "kmeanspp"), range(4), (2, 5, 16), (0.0, 0.5)
+            ):
+                try:
+                    tree = build_vtree(ds, m, strategy=strategy, eps=eps, seed=seed)
+                except ValueError as e:
+                    out.append(f"error: {e}")
+                    continue
+                a = tree.leaf_assignment
+                out.append((vtree_to_json(tree), a.labels, sorted(a.affected)))
+            return out
+
+        want = outputs()
+        for values in (1, 7 * ds.dims, 64 * ds.dims + 3):
+            monkeypatch.setattr("spacepart.core._BLOCK_VALUES", values)
+            monkeypatch.setattr(vtree_module, "_PIECE_VALUES", values)
+            assert outputs() == want, f"block of {values} values"
+
+    @pytest.mark.parametrize("d", [3, 17, 33])
+    def test_block_columns_have_the_whole_nodes_bits(self, monkeypatch, d):
+        # blocks and pieces of 16 rows; nodes on either side of piece edges, with
+        # tails of 0 to 4 rows, far from the origin where the expansion loses most
+        # bits. The pieces group the rows as OpenBLAS's gemv does on the whole node
+        monkeypatch.setattr("spacepart.core._BLOCK_VALUES", 16 * d)
+        monkeypatch.setattr(vtree_module, "_PIECE_VALUES", 16 * d)
+        rng = np.random.default_rng(d)
+        coords = rng.normal(size=(400, d)) + 1e6
+        sqnorms = row_sqnorms(coords)
+        for n in (17, 18, 19, 20, 21, 32, 33, 34, 49, 50, 51, 52, 53):
+            rows = np.sort(rng.choice(400, size=n, replace=False))
+            column = vtree_module._distance_column(NodeRows(coords, sqnorms, np.arange(400), rows), 400)
+            node, node_sq = coords[rows], sqnorms[rows]
+            for p in (0, n // 2, n - 1):
+                want = expansion_column(node, node_sq, node[p], node_sq[p])
+                assert column(p).tobytes() == want.tobytes(), (n, p)
 
 
 class TestRouting:
