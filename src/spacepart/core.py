@@ -184,9 +184,8 @@ def euclidean_distance(a, b) -> float:
 # so nothing verifies the cutoff end to end
 _EINSUM_MAX_COLUMNS = 128
 # values in one block: 2**21 float64s, 16 MB. ``_column_variance`` reads larger
-# inputs a block at a time. The vtree's distance columns share the block
-# (``vtree._distance_column``): a random, gnat or kmeans++ node under half of
-# the dataset is gathered when it fits one block and read in 1 MB pieces when not
+# inputs a block at a time; the vtree's distance columns share the block
+# (``vtree._distance_column``)
 _BLOCK_VALUES = 1 << 21
 
 
@@ -450,13 +449,11 @@ class NodeRows:
 
     ``rows`` are the node's dataset row numbers, None at the root. The node
     reads the dataset in place (a pass over it, cut down by ``take``, or a
-    block or piece of its rows at a time, as kd's variance and the vtree's
-    distance columns read nodes larger than one block) until its split calls
-    ``gather`` to copy its rows out; from then on the arrays are that copy.
-    Only the vtree gathers: a node under half of the dataset that fits one
-    block, and every median-seeded node. The copy is the node's alone:
-    children are row subsets of the dataset, so it goes with the node once
-    its split returns.
+    block or piece of its rows at a time) until its split calls ``gather`` to
+    copy its rows out; from then on the arrays are that copy. Only the vtree's
+    split gathers (which nodes: ``vtree._distance_column``; median seeding
+    gathers every node). The copy is the node's alone: children are row
+    subsets of the dataset, so it goes with the node once its split returns.
     """
 
     __slots__ = ("coords", "sqnorms", "ids", "rows", "gathered")
@@ -494,9 +491,8 @@ def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
     Owns the node rows (``NodeRows`` over the dataset's arrays), the affected
     mask and the labels; a builder only cuts one node. The driver copies no
     node: each builder's split decides whether to gather its node (kd's never
-    does; the vtree's gathers a node under half of the dataset that fits one
-    block, and every median-seeded node), and the copy is dropped when the
-    split returns; a pending leaf holds only its row numbers.
+    does; the vtree's: ``vtree._distance_column``), and the copy is dropped
+    when the split returns; a pending leaf holds only its row numbers.
     ``split(tag, node, room)`` cuts a leaf into 2 to ``room`` children
     (``room`` counts the leaves still missing, this one included) and returns
     per-row child labels, the affected node rows (mask or positions) and one

@@ -49,12 +49,9 @@ variance, selection, two axis columns, labelling). Gathers, piece reads, and
 the passes over the whole dataset of a node that reads it in place, are
 layout, not algorithm, and are not counted.
 
-Node reads (``_distance_column``): a random, gnat or kmeans++ split reads a
-node of at least half of the dataset in place, gathers a smaller node that
-fits one 16 MB block (``core._block_rows``), and reads a larger one a 1 MB
-piece of rows at a time through one buffer, never copying it. Such a split
-holds at most one block on top of the dataset, its row norms and per-row
-columns. Median seeding gathers every node.
+A random, gnat or kmeans++ split copies at most one 16 MB block of its node
+(``_distance_column`` says how it reads the node); median seeding gathers
+every node.
 """
 
 from __future__ import annotations
@@ -239,10 +236,28 @@ _PIECE_VALUES = 1 << 17
 def _distance_column(node, n_data: int):
     """``column(p)`` of a random, gnat or kmeans++ split: the expansion column of the node's row ``p``.
 
-    The matvec's bits depend on the shape of the rows it reads, so all of a
-    node's columns read it one way, as the module docstring says: in place
-    (a column over all ``n_data`` rows, cut down), gathered, or a piece at a
-    time through one buffer they share, so coincident centers still tie.
+    The node is read one of three ways:
+
+    - a node of at least half of the ``n_data`` dataset rows reads the dataset
+      in place: a column over every row, cut down to the node;
+    - a smaller node that fits one 16 MB block (``core._block_rows``) is
+      gathered;
+    - a larger node is never copied: each column takes its rows a piece at a
+      time into one buffer that all the node's columns share.
+
+    So a split holds at most one block on top of the dataset, its row norms and
+    per-row columns. The matvec's bits depend on the shape of the rows it
+    reads, so all of a node's columns read it the same way, and coincident
+    centers still tie.
+
+    Gathering is faster up to one block, so the block decides. In-process
+    kmeans++ builds (2-vCPU Xeon, 2 MB L2 per core; median time ratios of 12
+    to 16 alternated pairs) that read every node under half of the dataset in
+    pieces took 1.16x the time on 200000x8 data (m=256), 1.10x on 20000x1024
+    (m=64) and 1.02-1.03x on 1500 and 4000x1024 (m=8): pieces take the node
+    once per column, a gather once. Gathering up to 4 MB took 1.11x on
+    20000x1024, up to 64 MB 1.06x, and up to 32 MB 0.96x for a copy twice as
+    large.
 
     A piece's rows are a multiple of four (at least four) and a one-row tail
     joins the piece before it: OpenBLAS's gemv kernels take rows four at a
@@ -296,11 +311,8 @@ def build_vtree(
     with fresh seed draws and then accepted (deterministic strategies
     reproduce the same split and are accepted as-is). Reproducible from the
     seed. ``core.split_largest_leaf`` runs the loop and owns the rows; this
-    function only cuts one node. A random, gnat or kmeans++ split reads its
-    node as ``_distance_column`` says: in place from half of the dataset up,
-    gathered when it fits one block, and a 1 MB piece at a time otherwise, so
-    it copies at most one block. Median seeding gathers every node. Only final
-    leaves get ``members``.
+    function only cuts one node, read as ``_distance_column`` says (median
+    seeding gathers every node). Only final leaves get ``members``.
     """
     if not isinstance(strategy, SeedStrategy):
         strategy = SeedStrategy(strategy)

@@ -10,7 +10,7 @@ import pytest
 
 from spacepart import vtree as vtree_module
 from spacepart.cli import main
-from spacepart.core import Dataset, NodeRows, Point, make_rng
+from spacepart.core import Dataset, NodeRows, Point, generate_gaussian_mixture, make_rng
 from spacepart.dataio import save_dataset
 from spacepart.kdtree import kd_partition
 from spacepart.vtree import (
@@ -281,6 +281,26 @@ class TestColumnPieces:
             monkeypatch.setattr("spacepart.core._BLOCK_VALUES", values)
             monkeypatch.setattr(vtree_module, "_PIECE_VALUES", values)
             assert outputs() == want, f"block of {values} values"
+
+    def test_threaded_matvec_changes_no_output(self, monkeypatch):
+        # 5000 rows at d = 1024: the first split's children are over one block and
+        # read in pieces of 128 rows. With two OpenBLAS threads the gemv splits a
+        # whole node's rows elsewhere than a piece's, and some column bits differ
+        # from the gathered node's (9 of 7500 rows in three columns of 2100- and
+        # 2500-row nodes); the builds must still write the gathered builds' outputs
+        ds = generate_gaussian_mixture(5000, 1024, 8, seed=1)
+
+        def outputs():
+            out = []
+            for strategy, seed in itertools.product(("random", "gnat", "kmeanspp"), (0, 1)):
+                tree = build_vtree(ds, 16, strategy=strategy, eps=0.25, seed=seed)
+                a = tree.leaf_assignment
+                out.append((vtree_to_json(tree), a.labels, sorted(a.affected)))
+            return out
+
+        pieced = outputs()
+        monkeypatch.setattr("spacepart.core._BLOCK_VALUES", 1 << 40)  # every node under half is gathered
+        assert outputs() == pieced
 
     @pytest.mark.parametrize("d", [3, 17, 33])
     def test_block_columns_have_the_whole_nodes_bits(self, monkeypatch, d):
