@@ -21,11 +21,17 @@ either sign, at m up to 70000, with no, some or all rows affected. Equal
 variance digests (sixth line) mean ``variance_per_dimension``, the
 split-dimension variance of kd and median seeding, returned the same bytes on
 fixed datasets far from the origin. Equal block digests (seventh line) mean
-kd and median-seeded vtree builds whose nodes span several 16 MB blocks of
-the column variance wrote the same tree JSON, assignment CSV bytes and leaf
-ids. Equal column-block digests (eighth line) mean the same of random, gnat
-and kmeans++ vtree builds in which some node under half of the dataset spans
-several 16 MB blocks, so that its distance columns read it in 1 MB pieces.
+kd and median-seeded vtree builds with nodes larger than one 16 MB block,
+whose column variances read them a piece at a time (``core._piece_rows``),
+wrote the same tree JSON, assignment CSV bytes and leaf ids. Equal
+column-block digests (eighth line) mean the same of random, gnat and kmeans++
+vtree builds in which some node under half of the dataset is larger than one
+block, so that its distance columns read it a piece at a time.
+
+Lines 3, 5, 6 and 7 go through no BLAS call, so they do not depend on the
+BLAS library or its thread count, and ``tests/test_output_digest.py`` pins
+them. Lines 1, 2, 4 and 8 go through threaded matrix-vector products and are
+compared by running this script on two checkouts.
 
 Covered: kd, and vtree with random, gnat, kmeanspp and median seeding (seeds
 0 and 1), at m in {2, 5, 16} and eps in {0, 0.5}, on a float set, a set where
@@ -230,7 +236,8 @@ def answers(tree, queries, eps) -> bytes:
     return ";".join(out).encode()
 
 
-def main():
+def build_and_query_lines() -> list[str]:
+    """Lines 1 and 2: the small builds' outputs and their vtrees' query answers."""
     digest, query_digest = hashlib.sha256(), hashlib.sha256()
     count = queried = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -246,8 +253,13 @@ def main():
             if tree is not None and queries is not None:
                 query_digest.update(label.encode() + b"\0" + answers(tree, queries, eps) + b"\n")
                 queried += 1
-    print(f"{count} builds  sha256 {digest.hexdigest()}")
-    print(f"{queried} vtree builds x {PROBES} probes  sha256 {query_digest.hexdigest()}")
+    return [
+        f"{count} builds  sha256 {digest.hexdigest()}",
+        f"{queried} vtree builds x {PROBES} probes  sha256 {query_digest.hexdigest()}",
+    ]
+
+
+def grid_line() -> str:
     grid_digest = hashlib.sha256()
     grids = 0
     for name, ds in grid_datasets().items():
@@ -255,7 +267,10 @@ def main():
             for k in GRID_K:
                 grid_digest.update(f"{name} y={y} k={k}".encode() + b"\0" + grid_answers(ds, y, k) + b"\n")
                 grids += 1
-    print(f"{grids} grids  sha256 {grid_digest.hexdigest()}")
+    return f"{grids} grids  sha256 {grid_digest.hexdigest()}"
+
+
+def hd_query_line() -> str:
     hd_digest = hashlib.sha256()
     hd = generate_gaussian_mixture(600, 1024, 8, seed=20160404)
     hd_queries = probes(hd, HD_PROBES)
@@ -263,7 +278,10 @@ def main():
         tree = build_vtree(hd, 16, strategy="kmeanspp", eps=eps, seed=0)
         label = f"1024-d vtree:kmeanspp eps={eps}"
         hd_digest.update(label.encode() + b"\0" + answers(tree, hd_queries, eps) + b"\n")
-    print(f"{len(HD_EPS_VALUES)} 1024-d vtree builds x {HD_PROBES} probes  sha256 {hd_digest.hexdigest()}")
+    return f"{len(HD_EPS_VALUES)} 1024-d vtree builds x {HD_PROBES} probes  sha256 {hd_digest.hexdigest()}"
+
+
+def csv_line() -> str:
     csv_digest = hashlib.sha256()
     files = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -272,15 +290,30 @@ def main():
             write_assignment_csv(assignment, csv_path)
             csv_digest.update(label.encode() + b"\0" + Path(csv_path).read_bytes() + b"\n")
             files += 1
-    print(f"{files} assignment CSVs  sha256 {csv_digest.hexdigest()}")
+    return f"{files} assignment CSVs  sha256 {csv_digest.hexdigest()}"
+
+
+def variance_line() -> str:
     var_digest = hashlib.sha256()
     sets = 0
     for label, ds in variance_datasets():
         var_digest.update(label.encode() + b"\0" + variance_per_dimension(ds).tobytes() + b"\n")
         sets += 1
-    print(f"{sets} variance datasets  sha256 {var_digest.hexdigest()}")
-    print("%d builds over several variance blocks  sha256 %s" % build_digest(block_builds()))
-    print("%d vtree builds over several column blocks  sha256 %s" % build_digest(column_block_builds()))
+    return f"{sets} variance datasets  sha256 {var_digest.hexdigest()}"
+
+
+def block_line() -> str:
+    return "%d builds over several variance blocks  sha256 %s" % build_digest(block_builds())
+
+
+def column_block_line() -> str:
+    return "%d vtree builds over several column blocks  sha256 %s" % build_digest(column_block_builds())
+
+
+def main():
+    lines = build_and_query_lines()
+    lines += [grid_line(), hd_query_line(), csv_line(), variance_line(), block_line(), column_block_line()]
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":

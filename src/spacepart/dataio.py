@@ -6,10 +6,12 @@ order. Ids are implicit row indices, so saving a dataset with custom ids drops
 them by design.
 
 CSV: one point per row of comma-separated decimal floats, LF line endings, no
-header unless requested. Ids default to the row index; an id column can be
-named on load. Its tokens are parsed with ``int``, so ids keep every digit:
-a token that is not an ASCII decimal integer (``7.0``, ``1e3``, ``1_000``) or
-lies outside int64 is an error naming its line.
+header unless requested. A coordinate with a digit group (``1_0``) or a
+non-ASCII character (``١٢``), which ``float`` would take, is an error naming
+its line. Ids default to the row index; an id column can be named on load.
+Its tokens are parsed with ``int``, so ids keep every digit: a token that is
+not an ASCII decimal integer (``7.0``, ``1e3``, ``1_000``) or lies outside
+int64 is an error naming its line.
 """
 
 from __future__ import annotations
@@ -130,6 +132,9 @@ def _load_csv(path, header: bool = False, id_column: int | None = None) -> Datas
                 if ident is None or not _INT64_MIN <= ident <= _INT64_MAX:
                     raise DatasetFormatError(f"{path}: line {lineno}: id {tok!r} is not a decimal int64")
                 ids.append(ident)
+            if not line.isascii() or "_" in line:  # float() would take them; a bad id has raised above
+                bad = next(tok for tok in fields if not tok.isascii() or "_" in tok)
+                raise DatasetFormatError(f"{path}: line {lineno}: coordinate {bad!r} is not an ASCII decimal float")
             try:
                 values = [float(tok) for tok in fields]
             except ValueError:

@@ -8,10 +8,10 @@ dimension with ``np.partition``, and routes points left/right with a
 deterministic tie rule that guarantees the two sides differ by at most one
 point. Leaves are the partitions.
 
-A node is never copied: the split reads its rows in the dataset. Its
-variance takes rows that fit one 16 MB block in one piece and a larger node a
-block of rows at a time, and its split dimension is one column of them. So
-a split whose variances are finite holds at most two blocks on top of the
+A node is never copied: the split reads its rows in the dataset, and its
+variance reads them as ``core._piece_rows`` says (whole up to one 16 MB
+block, a piece at a time beyond); its split dimension is one column of them.
+So a split whose variances are finite holds at most two blocks on top of the
 dataset (see ``core._widest_axis`` for the overflow case).
 
 ``scan_count`` counts rows read: one pass each for variance, selection and

@@ -50,8 +50,8 @@ the passes over the whole dataset of a node that reads it in place, are
 layout, not algorithm, and are not counted.
 
 A random, gnat or kmeans++ split copies at most one 16 MB block of its node
-(``_distance_column`` says how it reads the node); median seeding gathers
-every node.
+(``_distance_column`` says how it reads the node, under ``core._piece_rows``'s
+rule); median seeding gathers every node.
 """
 
 from __future__ import annotations
@@ -64,7 +64,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, PartitionAssignment, Point, _block_rows, as_point_arrays, make_rng, split_largest_leaf
+from .core import (
+    Dataset,
+    PartitionAssignment,
+    Point,
+    _block_rows,
+    _piece_rows,
+    as_point_arrays,
+    make_rng,
+    split_largest_leaf,
+)
 from .seeding import SeedStrategy, median_positions, select_positions, sq_column
 
 __all__ = [
@@ -225,25 +234,14 @@ def _split_rows(cols, axis, eps: float, k: int):
     return labels, affected, np.bincount(labels, minlength=k)
 
 
-# values a distance column takes per piece of a node larger than one block:
-# 2**17 float64s, 1 MB, so that the rows a piece takes are still in a core's L2
-# when the matvec reads them. In-process partition-hd builds (2-vCPU Xeon, 2 MB
-# L2 per core) took 1.12x the time of gathering each node with 16 MB pieces
-# and 0.90x with 1 MB pieces
-_PIECE_VALUES = 1 << 17
-
-
 def _distance_column(node, n_data: int):
     """``column(p)`` of a random, gnat or kmeans++ split: the expansion column of the node's row ``p``.
 
-    The node is read one of three ways:
-
-    - a node of at least half of the ``n_data`` dataset rows reads the dataset
-      in place: a column over every row, cut down to the node;
-    - a smaller node that fits one 16 MB block (``core._block_rows``) is
-      gathered;
-    - a larger node is never copied: each column takes its rows a piece at a
-      time into one buffer that all the node's columns share.
+    A node of at least half of the ``n_data`` dataset rows reads the dataset
+    in place: a column over every row, cut down to the node. A smaller node is
+    read as ``core._piece_rows`` says: one that fits one block is gathered,
+    and a larger one is never copied, each column taking its rows a piece at
+    a time into one buffer that all the node's columns share.
 
     So a split holds at most one block on top of the dataset, its row norms and
     per-row columns. The matvec's bits depend on the shape of the rows it
@@ -278,7 +276,7 @@ def _distance_column(node, n_data: int):
         return column
 
     coords, rows, n = node.coords, node.rows, node.n
-    step = max(4, _PIECE_VALUES // d // 4 * 4)
+    step = _piece_rows(d)
     edges = [*range(0, n - 1, step), n]  # a one-row tail joins the piece before it
     sqnorms = node.take(node.sqnorms)
     buf = np.empty((step + 1, d))

@@ -152,6 +152,30 @@ class TestVariancePerDimension:
             assert core._column_variance(x, rows).tobytes() == want
             assert core._column_variance(node).tobytes() == want
 
+    @pytest.mark.parametrize("d", [2, 8, 129, 1024, 40000])
+    def test_row_pieces_have_numpys_bits(self, d):
+        # inputs over one block are read a piece at a time: one block + 1 row (the
+        # fewest read in pieces), a multiple of the piece rows and one row either
+        # side, and several pieces plus a short tail. At d = 40000 a piece is 4
+        # rows. Rows picked in ascending order and the same rows as one array,
+        # far from the origin too; the input is read-only, as a dataset's is
+        block, piece = core._block_rows(d), core._piece_rows(d)
+        whole = (block // piece + 1) * piece  # the fewest whole pieces over one block
+        sizes = (block + 1, whole - 1, whole, whole + 1, whole + 3 * piece + 3)
+        assert min(sizes) > block
+        rng = np.random.default_rng(d)
+        base = rng.normal(size=(max(sizes) * 17 // 16, d)) * rng.uniform(0.1, 100.0, size=d)
+        for offset in (0.0, 1e8, -1e12):
+            x = base + offset
+            x.setflags(write=False)
+            for n in sizes:
+                rows = np.sort(rng.choice(len(x), size=n, replace=False))
+                node = x[rows]
+                node.setflags(write=False)
+                want = node.var(axis=0).tobytes()
+                assert core._column_variance(x, rows).tobytes() == want, (offset, n)
+                assert core._column_variance(node).tobytes() == want, (offset, n)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_variances_pick_the_widest_axis(self):
         # 50 uniform rows and 50 rows near 1e160, column 5 ten times wider: every
@@ -522,8 +546,8 @@ class TestBuildMemory:
         [
             # 8000x1024 is 65 MB, four 16 MB variance blocks: a split holds a node's
             # copy of at most one block plus its deviations (0.50x), and kd copies no
-            # larger node. Median seeding gathers every node but reads it in blocks
-            # (0.76x). Both peaked at 1.00x when the whole root's variance was one
+            # larger node. Median seeding gathers every node but reads its variance
+            # in pieces (0.76x). Both peaked at 1.00x when the whole root's variance was one
             # temporary.
             (lambda ds: kd_partition(ds, 16), 0.6),
             (lambda ds: build_vtree(ds, 16, strategy="median", seed=0), 0.85),

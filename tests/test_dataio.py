@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,19 @@ def test_csv_id_that_is_no_decimal_int64_names_line(tmp_path, token):
     path.write_text(f"5,1.5\n{token},2.5\n")
     with pytest.raises(DatasetFormatError, match=f"line 2: id '{token}' is not a decimal int64$"):
         load_dataset(path, id_column=0)
+
+
+@pytest.mark.parametrize("token", ["1_0", "2_5.0", "1e1_0", "\u0661\u0662", "\uff11.5", "\u00a03.5"])
+@pytest.mark.parametrize("id_column", [None, 0])
+def test_csv_coordinate_that_float_takes_but_is_no_ascii_decimal_names_line(tmp_path, token, id_column):
+    # float() takes digit groups and non-ASCII digits and spaces: 1_0 loaded as
+    # 10.0, an Arabic-Indic 12 as 12.0, a fullwidth 1.5 as 1.5
+    path = tmp_path / "coords.csv"
+    prefix = "" if id_column is None else "7,"
+    path.write_text(f"{prefix}1.5,2.5,3.5\n{prefix}4.0,{token},6.0\n", encoding="utf-8")
+    message = f"line 2: coordinate {re.escape(repr(token))} is not an ASCII decimal float$"
+    with pytest.raises(DatasetFormatError, match=message):
+        load_dataset(path, id_column=id_column)
 
 
 def test_csv_inconsistent_width_names_line(tmp_path):

@@ -279,7 +279,7 @@ class TestColumnPieces:
         want = outputs()
         for values in (1, 7 * ds.dims, 64 * ds.dims + 3):
             monkeypatch.setattr("spacepart.core._BLOCK_VALUES", values)
-            monkeypatch.setattr(vtree_module, "_PIECE_VALUES", values)
+            monkeypatch.setattr("spacepart.core._PIECE_VALUES", values)
             assert outputs() == want, f"block of {values} values"
 
     def test_threaded_matvec_changes_no_output(self, monkeypatch):
@@ -308,7 +308,7 @@ class TestColumnPieces:
         # tails of 0 to 4 rows, far from the origin where the expansion loses most
         # bits. The pieces group the rows as OpenBLAS's gemv does on the whole node
         monkeypatch.setattr("spacepart.core._BLOCK_VALUES", 16 * d)
-        monkeypatch.setattr(vtree_module, "_PIECE_VALUES", 16 * d)
+        monkeypatch.setattr("spacepart.core._PIECE_VALUES", 16 * d)
         rng = np.random.default_rng(d)
         coords = rng.normal(size=(400, d)) + 1e6
         sqnorms = row_sqnorms(coords)
