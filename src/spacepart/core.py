@@ -205,16 +205,33 @@ def _piece_rows(d: int) -> int:
     of these rows at a time through one buffer, so no copy outgrows a block.
     A piece holds a multiple of four rows, at least four, for the vtree's
     matvec (``vtree._distance_column`` says why); the variance's bits do not
-    depend on the piece size. The vtree also reads a node of at least half
-    of the dataset in place, and median seeding gathers every node.
+    depend on the piece size. ``_pieces`` cuts the rows. The vtree also reads
+    a node of at least half of the dataset in place, and median seeding
+    copies every node.
 
     In-process builds on a 2-vCPU Xeon with 2 MB of L2 per core: 16 MB
     pieces made partition-hd vtree builds (20000x1024, m=64) 1.12x the time
-    of gathering each node, and 1 MB pieces 0.90x. kd builds on the same
+    of copying each node whole, and 1 MB pieces 0.90x. kd builds on the same
     data (medians of 8 alternated rounds) took 0.76 s with 16 MB pieces,
     0.64 s with 2 MB and 0.60 s with 1 MB or 512 KB.
     """
     return max(4, _PIECE_VALUES // d // 4 * 4)
+
+
+def _pieces(coords: np.ndarray, rows, n: int, buf: np.ndarray):
+    """``(lo, hi, piece)``: rows ``lo:hi`` of the ``n`` rows ``coords[rows]`` (None: ``coords``), a piece at a time.
+
+    A piece holds ``len(buf) - 1`` rows, and a one-row tail joins the piece
+    before it (``vtree._distance_column`` says why); ``n`` must be at least 2.
+    A piece is a view of ``coords`` when ``rows`` is None and otherwise a copy of
+    its rows in ``buf``, which the next piece overwrites.
+    """
+    edges = [*range(0, n - 1, len(buf) - 1), n]
+    for lo, hi in zip(edges, edges[1:]):
+        if rows is None:
+            yield lo, hi, coords[lo:hi]
+        else:  # the rows are valid; "clip" spares the copy that "raise" makes for ``out``
+            yield lo, hi, np.take(coords, rows[lo:hi], axis=0, out=buf[: hi - lo], mode="clip")
 
 
 def _column_sum(x: np.ndarray) -> np.ndarray:
@@ -235,9 +252,8 @@ def _column_variance(coords: np.ndarray, rows=None) -> np.ndarray:
     The rows are read as ``_piece_rows`` says. Rows that fit one block are
     read in one piece: their deviations are one temporary as large as the
     rows, and rows wider than ``_EINSUM_MAX_COLUMNS`` go to ``var`` itself.
-    Larger inputs are read a piece at a time: a piece is a view of
-    ``coords`` when ``rows`` is None and otherwise a copy taken from it, and
-    its deviations go to one reused buffer. Row 0 of that buffer carries each
+    Larger inputs are read a piece at a time (``_pieces``), and each
+    piece's deviations go to one reused buffer. Row 0 of that buffer carries each
     column's running sum into the next piece's sum, so every column is still
     summed row after row and the bits do not depend on the piece size. The
     mean of all rows takes no pieces, as a column sum makes no temporary;
@@ -253,30 +269,19 @@ def _column_variance(coords: np.ndarray, rows=None) -> np.ndarray:
         dev = x - np.einsum("ij->j", x) / n
         np.square(dev, out=dev)
         return np.einsum("ij->j", dev) / n
-    step = _piece_rows(d)
-    buf = np.empty((step + 1, d))  # row 0: the running column sums
-
-    def pieces():
-        """(buffer rows, the piece's rows): a view of ``coords``, or the buffer holding their copy."""
-        for lo in range(0, n, step):
-            blk = buf[1 : 1 + min(step, n - lo)]
-            if rows is None:
-                yield blk, coords[lo : lo + step]
-            else:  # the rows are valid; "clip" spares the copy that "raise" makes for ``out``
-                yield blk, np.take(coords, rows[lo : lo + step], axis=0, out=blk, mode="clip")
-
+    buf = np.empty((_piece_rows(d) + 2, d))  # row 0: the running column sums
     if rows is None:
         mean = _column_sum(coords) / n
     else:
         buf[0] = 0.0
-        for blk, _ in pieces():
-            buf[0] = _column_sum(buf[: len(blk) + 1])
+        for lo, hi, _ in _pieces(coords, rows, n, buf[1:]):
+            buf[0] = _column_sum(buf[: hi - lo + 1])
         mean = buf[0] / n
     buf[0] = 0.0
-    for blk, x in pieces():
-        np.subtract(x, mean, out=blk)
-        np.square(blk, out=blk)
-        buf[0] = _column_sum(buf[: len(blk) + 1])
+    for lo, hi, x in _pieces(coords, rows, n, buf[1:]):
+        dev = buf[1 : hi - lo + 1]
+        np.square(np.subtract(x, mean, out=dev), out=dev)
+        buf[0] = _column_sum(buf[: hi - lo + 1])
     return buf[0] / n
 
 
@@ -312,7 +317,7 @@ def variance_per_dimension(ds: Dataset) -> np.ndarray:
     down, for the mean and again for the squared deviations; at d = 1 the
     one column is summed pairwise, as numpy's ``var`` does. The bits depend
     on the layout, so callers pass C-contiguous rows (a dataset's
-    coordinates and a node's gathered copy are).
+    coordinates and a copy of a node's rows are).
     """
     return _column_variance(ds.coords)
 
@@ -469,83 +474,40 @@ def balance_floor(n: int, m: int) -> float:
     return math.ceil(n / m) * m / n
 
 
-class NodeRows:
-    """One node's points: ``rows`` of the dataset's ``coords``, ``sqnorms`` (or None) and ``ids``.
+def split_largest_leaf(n: int, m: int, split, root_tag=None):
+    """The split loop of both trees: grow m leaves of ``n`` dataset rows, always splitting the largest.
 
-    ``rows`` are the node's dataset row numbers, None at the root. The node
-    reads the dataset in place (a pass over it, cut down by ``take``, or a
-    block or piece of its rows at a time) until its split calls ``gather`` to
-    copy its rows out; from then on the arrays are that copy. Only the vtree's
-    split gathers (which nodes: ``vtree._distance_column``; median seeding
-    gathers every node). The copy is the node's alone: children are row
-    subsets of the dataset, so it goes with the node once its split returns.
+    Owns the node rows, the affected mask and the labels; a builder only cuts
+    one node. A node is its dataset row numbers: None at the root, an
+    ascending int64 array below it. ``split(tag, rows, room)`` cuts a leaf
+    into 2 to ``room`` children (``room`` counts the leaves still missing,
+    this one included) and returns per-row child labels, the affected rows
+    (mask or positions, both over ``rows``) and one tag per child; whatever
+    it copies of the node goes when it returns. Ties between equally large
+    leaves go to the lowest leaf id; child 0 keeps its parent's id, the
+    others take the next unused ids. Returns ``{leaf id: (tag, dataset
+    rows)}``, every dataset row's leaf id and the affected mask.
     """
-
-    __slots__ = ("coords", "sqnorms", "ids", "rows", "gathered")
-
-    def __init__(self, coords, sqnorms, ids, rows=None):
-        self.coords, self.sqnorms, self.ids, self.rows = coords, sqnorms, ids, rows
-        self.gathered = rows is None  # the arrays hold exactly the node's rows
-
-    @property
-    def n(self) -> int:
-        return len(self.ids if self.rows is None else self.rows)
-
-    def gather(self) -> "NodeRows":
-        """Copy the node's rows out of the dataset's arrays and read the copy from now on."""
-        if not self.gathered:
-            self.coords, self.sqnorms, self.ids = map(self.take, (self.coords, self.sqnorms, self.ids))
-            self.gathered = True
-        return self
-
-    def take(self, values):
-        """A per-row array over the node's arrays (a pass over the dataset) cut down to the node."""
-        return values if self.gathered or values is None else np.take(values, self.rows, axis=0)
-
-    def ref_row(self, local: int) -> int:
-        """The position of the node's row ``local`` in its arrays."""
-        return int(local if self.gathered else self.rows[local])
-
-    def dataset_rows(self, local=slice(None)) -> np.ndarray:
-        return (np.arange(self.n) if self.rows is None else self.rows)[local]
-
-
-def split_largest_leaf(coords, ids, sqnorms, m: int, split, root_tag=None):
-    """The split loop of both trees: grow m leaves, always splitting the largest.
-
-    Owns the node rows (``NodeRows`` over the dataset's arrays), the affected
-    mask and the labels; a builder only cuts one node. The driver copies no
-    node: each builder's split decides whether to gather its node (kd's never
-    does; the vtree's: ``vtree._distance_column``), and the copy is dropped
-    when the split returns; a pending leaf holds only its row numbers.
-    ``split(tag, node, room)`` cuts a leaf into 2 to ``room`` children
-    (``room`` counts the leaves still missing, this one included) and returns
-    per-row child labels, the affected node rows (mask or positions) and one
-    tag per child. Ties between equally large leaves go to the lowest leaf id;
-    child 0 keeps its parent's id, the others take the next unused ids.
-    Returns ``{leaf id: (tag, dataset rows)}``, every dataset row's leaf id
-    and the affected mask.
-    """
-    n = len(ids)
     affected = np.zeros(n, dtype=bool)
-    leaves = {0: (root_tag, NodeRows(coords, sqnorms, ids))}
+    leaves = {0: (root_tag, None)}
     heap = [(-n, 0)]
     next_id = 1
     while len(leaves) < m:
         _, lid = heapq.heappop(heap)
-        tag, node = leaves.pop(lid)
-        child_labels, aff, tags = split(tag, node, m - len(leaves))
-        affected[node.dataset_rows(aff)] = True
+        tag, rows = leaves.pop(lid)
+        child_labels, aff, tags = split(tag, rows, m - len(leaves))
+        affected[aff if rows is None else rows[aff]] = True
         for c, child_tag in enumerate(tags):
             pid = lid if c == 0 else next_id + c - 1
-            rows = node.dataset_rows(np.flatnonzero(child_labels == c))
-            leaves[pid] = (child_tag, NodeRows(coords, sqnorms, ids, rows))
-            heapq.heappush(heap, (-len(rows), pid))
+            child = np.flatnonzero(child_labels == c)
+            child = child if rows is None else rows[child]
+            leaves[pid] = (child_tag, child)
+            heapq.heappush(heap, (-len(child), pid))
         next_id += len(tags) - 1
-        del node, child_labels, aff  # drop this split's copy before the next split runs
+        del child_labels, aff  # per-row arrays of this split, not held through the next
     labels = np.empty(n, dtype=np.int64)
-    for lid, (tag, node) in leaves.items():
-        rows = node.dataset_rows()
+    for lid, (tag, rows) in leaves.items():
+        rows = np.arange(n) if rows is None else rows
         labels[rows] = lid
         leaves[lid] = (tag, rows)
     return leaves, labels, affected

@@ -6,17 +6,23 @@ order. Ids are implicit row indices, so saving a dataset with custom ids drops
 them by design.
 
 CSV: one point per row of comma-separated decimal floats, LF line endings, no
-header unless requested. A coordinate with a digit group (``1_0``) or a
-non-ASCII character (``١٢``), which ``float`` would take, is an error naming
-its line. Ids default to the row index; an id column can be named on load.
-Its tokens are parsed with ``int``, so ids keep every digit: a token that is
-not an ASCII decimal integer (``7.0``, ``1e3``, ``1_000``) or lies outside
-int64 is an error naming its line.
+header unless requested. A line loses its ASCII whitespace at both ends. A
+coordinate with a digit group (``1_0``) or a non-ASCII character (``١٢``, or
+a byte that is not UTF-8), which ``float`` would take or the decoder refuse,
+is an error naming its line. Ids default to the row index; an id column can
+be named on load. Its tokens are parsed with ``int``, so ids keep every
+digit: a token that is not an ASCII decimal integer (``7.0``, ``1e3``,
+``1_000``) or lies outside int64, a negative id and a repeated one are errors
+naming their line.
+
+Every error in a file names where it is: a line of a CSV file, an offset of
+a binary one.
 """
 
 from __future__ import annotations
 
 import os
+import string
 import struct
 from pathlib import Path
 
@@ -86,12 +92,14 @@ def _load_binary(path) -> Dataset:
     with open(path, "rb") as f:
         head = f.read(hdr_len)
         if len(head) < hdr_len:
-            raise DatasetFormatError(f"{path}: truncated header, got {len(head)} bytes, need {hdr_len}")
+            raise DatasetFormatError(
+                f"{path}: truncated header, got {len(head)} bytes, need {hdr_len}: the file ends at offset {len(head)}"
+            )
         if head[: len(MAGIC)] != MAGIC:
             raise DatasetFormatError(f"{path}: bad magic bytes {head[:len(MAGIC)]!r} at offset 0")
         n, dims = _HEADER.unpack_from(head, len(MAGIC))
         if n == 0 or dims == 0:
-            raise DatasetFormatError(f"{path}: header declares empty dataset ({n} x {dims})")
+            raise DatasetFormatError(f"{path}: header declares empty dataset ({n} x {dims}) at offset {len(MAGIC)}")
         expected = n * dims * 8
         payload = os.fstat(f.fileno()).st_size - hdr_len
         if payload != expected:
@@ -102,25 +110,29 @@ def _load_binary(path) -> Dataset:
     try:
         return Dataset(coords)
     except ValueError as e:  # the finiteness check names the first bad row
-        raise DatasetFormatError(f"{path}: {e}") from None
+        at = hdr_len + 8 * int(np.argmin(np.isfinite(coords).ravel()))
+        raise DatasetFormatError(f"{path}: {e} at offset {at}") from None
 
 
 def _load_csv(path, header: bool = False, id_column: int | None = None) -> Dataset:
     rows: list[list[float]] = []
     ids: list[int] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as f:
+    width, lineno, seen = None, 0, set()
+    # an undecodable byte becomes a lone surrogate, which the ASCII checks below name
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             if header and lineno == 1:
                 continue
-            line = line.strip()
+            line = line.strip(string.whitespace)  # what float() strips; str.strip() also takes non-ASCII
             if not line:
                 continue
             fields = line.split(",")
             if width is None:
                 width = len(fields)
                 if id_column is not None and not 0 <= id_column < width:
-                    raise DatasetFormatError(f"{path}: id column {id_column} out of range for {width} fields")
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: id column {id_column} out of range for {width} fields"
+                    )
             elif len(fields) != width:
                 raise DatasetFormatError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
             if id_column is not None:
@@ -142,9 +154,15 @@ def _load_csv(path, header: bool = False, id_column: int | None = None) -> Datas
             for tok, v in zip(fields, values):
                 if not np.isfinite(v):
                     raise DatasetFormatError(f"{path}: line {lineno}: non-finite value {tok!r}")
+            if id_column is not None:  # after the coordinates, whose errors name the token
+                if ident < 0:
+                    raise DatasetFormatError(f"{path}: line {lineno}: id {ident} is negative; ids must be non-negative")
+                if ident in seen:
+                    raise DatasetFormatError(f"{path}: line {lineno}: id {ident} appears twice")
+                seen.add(ident)
             rows.append(values)
     if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
+        raise DatasetFormatError(f"{path}: line {lineno + 1}: end of file before any data row")
     coords = np.array(rows, dtype=np.float64)
     try:
         return Dataset(coords, ids=np.array(ids, dtype=np.int64) if ids else None)

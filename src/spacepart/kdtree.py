@@ -119,9 +119,9 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
     top = SimpleNamespace(root=0)  # the slot the root hangs from
     scan = 0
 
-    def split(slot, node, room):
+    def split(slot, rows, room):
         nonlocal scan
-        n_node, rows = node.n, node.rows  # rows: None at the root
+        n_node = ds.n if rows is None else len(rows)
 
         split_dim = _widest_axis(ds.coords, rows)
         col = ds.coords[:, split_dim] if rows is None else ds.coords[rows, split_dim]
@@ -147,7 +147,7 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
         setattr(*slot, kd_node)
         return ~left_mask, near, [(kd_node, "left"), (kd_node, "right")]
 
-    leaves, label_rows, affected = split_largest_leaf(ds.coords, ds.ids, None, m, split, (top, "root"))
+    leaves, label_rows, affected = split_largest_leaf(ds.n, m, split, (top, "root"))
     for lid, (slot, _) in leaves.items():
         setattr(*slot, lid)
     assignment = PartitionAssignment.from_arrays(m, ds.ids, label_rows, ds.ids[affected])

@@ -45,13 +45,13 @@ shared with the kd-tree, owns the split order, the node rows, the labels and
 the affected rows; this module only cuts one node. ``scan_count`` counts rows
 read in the kd-tree's units: n for the row norms, then the node's rows once
 per distance column and once for labelling, per split attempt (median seeding:
-variance, selection, two axis columns, labelling). Gathers, piece reads, and
+variance, selection, two axis columns, labelling). Copies, piece reads, and
 the passes over the whole dataset of a node that reads it in place, are
 layout, not algorithm, and are not counted.
 
 A random, gnat or kmeans++ split copies at most one 16 MB block of its node
 (``_distance_column`` says how it reads the node, under ``core._piece_rows``'s
-rule); median seeding gathers every node.
+rule); median seeding copies every node.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from .core import (
     Point,
     _block_rows,
     _piece_rows,
+    _pieces,
     as_point_arrays,
     make_rng,
     split_largest_leaf,
@@ -234,60 +235,61 @@ def _split_rows(cols, axis, eps: float, k: int):
     return labels, affected, np.bincount(labels, minlength=k)
 
 
-def _distance_column(node, n_data: int):
+def _distance_column(coords: np.ndarray, sqnorms: np.ndarray, rows, n_data: int):
     """``column(p)`` of a random, gnat or kmeans++ split: the expansion column of the node's row ``p``.
 
-    A node of at least half of the ``n_data`` dataset rows reads the dataset
-    in place: a column over every row, cut down to the node. A smaller node is
-    read as ``core._piece_rows`` says: one that fits one block is gathered,
-    and a larger one is never copied, each column taking its rows a piece at
-    a time into one buffer that all the node's columns share.
+    The node is the dataset rows ``rows`` (None: all ``n_data`` of them) of
+    ``coords``, whose row norms are ``sqnorms``. A node of at least half of
+    the dataset reads the dataset in place: a column over every row, cut down
+    to the node. A smaller node is read as ``core._piece_rows`` says: one
+    that fits one block is copied, and a larger one never is, each column
+    taking its rows a piece at a time into one buffer that all the node's
+    columns share.
 
     So a split holds at most one block on top of the dataset, its row norms and
     per-row columns. The matvec's bits depend on the shape of the rows it
     reads, so all of a node's columns read it the same way, and coincident
     centers still tie.
 
-    Gathering is faster up to one block, so the block decides. In-process
+    A copy is faster up to one block, so the block decides. In-process
     kmeans++ builds (2-vCPU Xeon, 2 MB L2 per core; median time ratios of 12
     to 16 alternated pairs) that read every node under half of the dataset in
     pieces took 1.16x the time on 200000x8 data (m=256), 1.10x on 20000x1024
     (m=64) and 1.02-1.03x on 1500 and 4000x1024 (m=8): pieces take the node
-    once per column, a gather once. Gathering up to 4 MB took 1.11x on
+    once per column, a copy once. Copying up to 4 MB took 1.11x on
     20000x1024, up to 64 MB 1.06x, and up to 32 MB 0.96x for a copy twice as
     large.
 
     A piece's rows are a multiple of four (at least four) and a one-row tail
-    joins the piece before it: OpenBLAS's gemv kernels take rows four at a
-    time and a one-row product takes another kernel, so the pieces group the
-    rows as the whole node's matvec does. The bits then differ only where
-    BLAS threads split that matvec elsewhere (0 to 2 of 9001 rows at d = 1024
-    with two OpenBLAS threads), and outputs only if a choice turns on them.
+    joins the piece before it (``core._pieces``): OpenBLAS's gemv kernels
+    take rows four at a time and a one-row product takes another kernel, so
+    the pieces group the rows as the whole node's matvec does. The bits then
+    differ only where BLAS threads split that matvec elsewhere (0 to 2 of
+    9001 rows at d = 1024 with two OpenBLAS threads), and outputs only if a
+    choice turns on them.
     """
-    d = node.coords.shape[1]
-    if 2 * node.n >= n_data or node.n <= _block_rows(d):
-        if 2 * node.n < n_data:
-            node.gather()
+    n, d = (n_data if rows is None else len(rows)), coords.shape[1]
+    if 2 * n >= n_data:
 
         def column(p):
-            r, sq = node.ref_row(p), node.sqnorms
-            return node.take(expansion_column(node.coords, sq, node.coords[r], sq[r]))
+            r = p if rows is None else rows[p]
+            col = expansion_column(coords, sqnorms, coords[r], sqnorms[r])
+            return col if rows is None else np.take(col, rows)
 
         return column
 
-    coords, rows, n = node.coords, node.rows, node.n
-    step = _piece_rows(d)
-    edges = [*range(0, n - 1, step), n]  # a one-row tail joins the piece before it
-    sqnorms = node.take(node.sqnorms)
-    buf = np.empty((step + 1, d))
+    node_sq = np.take(sqnorms, rows)
+    if n <= _block_rows(d):
+        node = np.take(coords, rows, axis=0)
+        return lambda p: expansion_column(node, node_sq, node[p], node_sq[p])
+
+    buf = np.empty((_piece_rows(d) + 1, d))
 
     def column(p):
-        center, center_sq = coords[rows[p]], sqnorms[p]  # a dataset row, never a view of the buffer
+        center = coords[rows[p]]  # a dataset row, never a view of the buffer
         out = np.empty(n)
-        for lo, hi in zip(edges, edges[1:]):
-            # the rows are valid; "clip" spares the copy that "raise" makes for ``out``
-            blk = np.take(coords, rows[lo:hi], axis=0, out=buf[: hi - lo], mode="clip")
-            out[lo:hi] = expansion_column(blk, sqnorms[lo:hi], center, center_sq)
+        for lo, hi, piece in _pieces(coords, rows, n, buf):
+            out[lo:hi] = expansion_column(piece, node_sq[lo:hi], center, node_sq[p])
         return out
 
     return column
@@ -310,7 +312,7 @@ def build_vtree(
     reproduce the same split and are accepted as-is). Reproducible from the
     seed. ``core.split_largest_leaf`` runs the loop and owns the rows; this
     function only cuts one node, read as ``_distance_column`` says (median
-    seeding gathers every node). Only final leaves get ``members``.
+    seeding copies every node). Only final leaves get ``members``.
     """
     if not isinstance(strategy, SeedStrategy):
         strategy = SeedStrategy(strategy)
@@ -338,28 +340,33 @@ def build_vtree(
     rng = make_rng(seed)
     scan = ds.n if needs_sqnorms else 0
 
-    def split(vnode, node, room):
+    def split(vnode, rows, room):
         nonlocal scan
-        k = min(fanout, room, node.n)
+
+        def node(values):  # the node's rows of a per-row array of the dataset
+            return values if rows is None else np.take(values, rows, axis=0)
+
+        n = ds.n if rows is None else len(rows)
+        ids, k = node(ds.ids), min(fanout, room, n)
         if kind == "median":
-            coords = node.gather().coords
-            positions, axis = median_positions(coords, node.ids, k)
+            coords = node(ds.coords)
+            positions, axis = median_positions(coords, ids, k)
             cols = [np.abs(coords[:, axis] - coords[p, axis]) for p in positions]
             labels, aff_mask, counts = _split_rows(cols, axis, eps, k)
-            scan += 5 * node.n  # variance, selection, two axis columns, labelling
+            scan += 5 * n  # variance, selection, two axis columns, labelling
         else:
-            column = _distance_column(node, ds.n)
-            axis, ids = None, node.take(node.ids)
+            column = _distance_column(ds.coords, sqnorms, rows, ds.n)
+            axis = None
             for attempt in (0, 1):
-                positions, cols = select_positions(kind, ids, k, rng, column, lambda: node.take(node.coords))
+                positions, cols = select_positions(kind, ids, k, rng, column, lambda: node(ds.coords))
                 labels, aff_mask, counts = _split_rows(cols, None, eps, k)
-                scan += (k + 1) * node.n  # k distance columns and labelling
+                scan += (k + 1) * n  # k distance columns and labelling
                 if counts.min() > 0 or attempt == 1:
                     break
 
-        refs = [node.ref_row(p) for p in positions]
-        vnode.centers = tuple(Point(int(node.ids[r]), node.coords[r].copy()) for r in refs)
-        vnode.center_sqnorms = tuple(float(node.sqnorms[r]) for r in refs) if needs_sqnorms else ()
+        refs = positions if rows is None else rows[positions]
+        vnode.centers = tuple(Point(int(ds.ids[r]), ds.coords[r].copy()) for r in refs)
+        vnode.center_sqnorms = tuple(float(sqnorms[r]) for r in refs) if needs_sqnorms else ()
         vnode.child_counts = tuple(int(c) for c in counts)
         vnode.overlap_count = int(aff_mask.sum())
         vnode.axis = axis
@@ -367,7 +374,7 @@ def build_vtree(
         return labels, aff_mask, vnode.children
 
     root = VNode(level=0)
-    leaves, label_rows, affected = split_largest_leaf(ds.coords, ds.ids, sqnorms, m, split, root)
+    leaves, label_rows, affected = split_largest_leaf(ds.n, m, split, root)
 
     for pid, (leaf, rows) in leaves.items():
         leaf.partition_id, leaf.members = pid, rows

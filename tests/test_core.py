@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -120,7 +119,7 @@ class TestVariancePerDimension:
         [(n, d) for n in (1, 2, 3, 17, 4097, 200_001) for d in (*range(1, 10), 16, 128, 1024) if n * d <= 5_000_000],
     )
     def test_column_variance_has_numpys_bits(self, n, d):
-        # on the whole data and on a gathered node copy, far from the origin too;
+        # on the whole data and on a copy of a node's rows, far from the origin too;
         # Fortran-ordered rows take numpy's own var
         rng = np.random.default_rng(n * 1031 + d)
         base = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
@@ -420,16 +419,30 @@ class TestAssignmentCsv:
 class TestSplitLargestLeaf:
     @staticmethod
     def drive(n, m, split):
-        # 1-d points whose value is their dataset row; ids differ from rows
-        coords = np.arange(n, dtype=float)[:, None]
-        return split_largest_leaf(coords, np.arange(n) + 100, None, m, split, "root")
+        # every split is held to the rows contract: the root gets None, any other
+        # node ascending int64 dataset rows, a subset of its parent's rows; the
+        # split under test sees the root as all n rows
+        parents = {}
+
+        def checked(tag, rows, room):
+            if tag == "root":
+                assert rows is None
+                rows = np.arange(n)
+            else:
+                assert rows.dtype == np.int64 and (rows[1:] > rows[:-1]).all()
+                assert np.isin(rows, parents[tag]).all()
+            labels, aff, tags = split(tag, rows, room)
+            parents.update((child, rows) for child in tags)
+            return labels, aff, tags
+
+        return split_largest_leaf(n, m, checked, "root")
 
     @staticmethod
     def halves(log):
-        def split(tag, node, room):
-            log.append((int(node.dataset_rows()[0]), room))
-            cut = (node.n + 1) // 2
-            return (np.arange(node.n) >= cut).astype(np.int64), [], [f"{tag}.0", f"{tag}.1"]
+        def split(tag, rows, room):
+            log.append((int(rows[0]), room))
+            cut = (len(rows) + 1) // 2
+            return (np.arange(len(rows)) >= cut).astype(np.int64), [], [f"{tag}.0", f"{tag}.1"]
 
         return split
 
@@ -446,9 +459,9 @@ class TestSplitLargestLeaf:
         assert not affected.any()
 
     def test_wide_split_takes_consecutive_ids(self):
-        def split(tag, node, room):
+        def split(tag, rows, room):
             k = min(3, room)
-            return np.arange(node.n) % k, [], [tag] * k
+            return np.arange(len(rows)) % k, [], [f"{tag}.{c}" for c in range(k)]
 
         leaves, _, _ = self.drive(12, 6, split)
         assert sorted(leaves) == list(range(6))
@@ -457,54 +470,32 @@ class TestSplitLargestLeaf:
         assert rows == {0: (0, 9), 1: (1, 7), 2: (2, 5, 8, 11), 3: (3,), 4: (6,), 5: (4, 10)}
 
     def test_single_leaf_is_not_split(self):
-        leaves, labels, affected = self.drive(5, 1, lambda tag, node, room: pytest.fail("split called"))
+        leaves, labels, affected = self.drive(5, 1, lambda tag, rows, room: pytest.fail("split called"))
         assert list(leaves) == [0] and leaves[0][0] == "root"
-        assert leaves[0][1].tolist() == [0, 1, 2, 3, 4]
+        assert leaves[0][1].dtype == np.int64 and leaves[0][1].tolist() == [0, 1, 2, 3, 4]
         assert labels.tolist() == [0] * 5 and not affected.any()
 
     def test_node_layout_and_bookkeeping(self):
-        # shuffled values and ids, so values, ids and dataset rows all differ
-        rng = np.random.default_rng(3)
-        values = rng.permutation(10).astype(float)
-        ids = rng.permutation(10) * 7 + 1
-        coords = values[:, None]
-        seen, in_place, copies, children, flagged = [], [], {}, {}, []
+        # shuffled values, so values and dataset rows differ
+        values = np.random.default_rng(3).permutation(10).astype(float)
+        seen, children, flagged = [], {}, []
 
-        def split(tag, node, room):
-            # a gather lasts only for its split: no earlier copy is still alive
-            assert all(copy() is None for copy in copies.values())
-            # the driver copies no node; this split gathers the nodes under half of the dataset
-            assert node.coords is coords and node.ids is ids
-            if 2 * node.n < 10:
-                node.gather()
+        def split(tag, rows, room):
             seen.append(tag)
-            rows = node.dataset_rows()
-            assert np.array_equal(rows, np.arange(10) if tag == "r" else node.rows)
-            own = node.take(node.coords)[:, 0]
-            assert np.array_equal(own, values[rows])
-            assert np.array_equal(node.take(node.ids), ids[rows])
-            if node.coords is coords:  # the dataset's arrays, read in place
-                assert node.ids is ids
-                in_place.append(tag)
-            else:  # the node's own copy of its rows, sharing no memory with the dataset
-                assert len(node.coords) == len(node.ids) == node.n
-                assert not np.shares_memory(node.coords, coords) and not np.shares_memory(node.ids, ids)
-                copies[tag] = weakref.ref(node.coords)
-            # child 0 gets the ceil(n/2) smallest values; the largest of them is affected
-            cut = np.sort(own)[(node.n + 1) // 2 - 1]
+            own = values[rows]
+            # child 0 gets the ceil(n/2) smallest values; the largest of them is affected,
+            # named by its position in the node or by a mask over the node, in turn
+            cut = np.sort(own)[(len(rows) + 1) // 2 - 1]
             flagged.append(cut)
             labels = (own > cut).astype(np.int64)
             for c in (0, 1):
                 children[f"{tag}.{c}"] = sorted(own[labels == c])
-            return labels, np.flatnonzero(own == cut), [f"{tag}.0", f"{tag}.1"]
+            aff = own == cut
+            return labels, np.flatnonzero(aff) if len(seen) % 2 else aff, [f"{tag}.0", f"{tag}.1"]
 
-        leaves, labels, affected = split_largest_leaf(coords, ids, None, 7, split, "r")
-        # sizes: r 10 -> 5 + 5; r.0 and r.1 5 -> 3 + 2; r.0.0 and r.1.0 3 -> 2 + 1; r.0.0.0 2 -> 1 + 1
-        assert seen == ["r", "r.0", "r.1", "r.0.0", "r.1.0", "r.0.0.0"]
-        # only nodes under half of the dataset gather, each from the dataset itself
-        assert in_place == ["r", "r.0", "r.1"]
-        assert list(copies) == ["r.0.0", "r.1.0", "r.0.0.0"]
-        assert all(copy() is None for copy in copies.values())
+        leaves, labels, affected = self.drive(10, 7, split)
+        # sizes: root 10 -> 5 + 5; .0 and .1 5 -> 3 + 2; .0.0 and .1.0 3 -> 2 + 1; .0.0.0 2 -> 1 + 1
+        assert seen == ["root", "root.0", "root.1", "root.0.0", "root.1.0", "root.0.0.0"]
         # leaf rows, labels and the affected mask against a recomputation from the values
         assert sorted(leaves) == list(range(7))
         for lid, (tag, rows) in leaves.items():
@@ -546,14 +537,14 @@ class TestBuildMemory:
         [
             # 8000x1024 is 65 MB, four 16 MB variance blocks: a split holds a node's
             # copy of at most one block plus its deviations (0.50x), and kd copies no
-            # larger node. Median seeding gathers every node but reads its variance
+            # larger node. Median seeding copies every node but reads its variance
             # in pieces (0.76x). Both peaked at 1.00x when the whole root's variance was one
             # temporary.
             (lambda ds: kd_partition(ds, 16), 0.6),
             (lambda ds: build_vtree(ds, 16, strategy="median", seed=0), 0.85),
             # random, gnat and kmeans++ read a node under half of the data that spans
             # several blocks through one 1 MB buffer; they peaked at 0.39-0.44x
-            # when such a node was gathered whole
+            # when such a node was copied whole
             (lambda ds: build_vtree(ds, 16, strategy="random", seed=0), 0.3),
             (lambda ds: build_vtree(ds, 16, strategy="gnat", seed=0), 0.3),
             (lambda ds: build_vtree(ds, 16, strategy="kmeanspp", seed=0), 0.3),

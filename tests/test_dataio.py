@@ -1,7 +1,12 @@
+import math
 import re
+import string
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spacepart.core import Dataset
 from spacepart.dataio import MAGIC, DatasetFormatError, detect_format, load_dataset, save_dataset
@@ -98,6 +103,28 @@ def test_csv_coordinate_that_float_takes_but_is_no_ascii_decimal_names_line(tmp_
         load_dataset(path, id_column=id_column)
 
 
+@pytest.mark.parametrize("id_column", [None, 0])
+def test_csv_byte_that_is_no_utf8_names_line(tmp_path, id_column):
+    # the decoder raised a bare UnicodeDecodeError, whose position counted from its buffer
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"7,1.0,2.0\n8,5.0,\xff6.0\n" if id_column == 0 else b"1.0,2.0\n5.0,\xff6.0\n")
+    message = f"^{re.escape(str(path))}: line 2: coordinate '\\\\udcff6.0' is not an ASCII decimal float$"
+    with pytest.raises(DatasetFormatError, match=message):
+        load_dataset(path, id_column=id_column)
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [("5,1.5\n-3,2.5\n", "id -3 is negative"), ("5,1.5\n6,2.5\n5,3.5\n", "id 5 appears twice")],
+)
+def test_csv_negative_or_repeated_id_names_line(tmp_path, text, problem):
+    path = tmp_path / "ids.csv"
+    path.write_text(text)
+    line = text.count("\n")
+    with pytest.raises(DatasetFormatError, match=f"line {line}: {problem}"):
+        load_dataset(path, id_column=0)
+
+
 def test_csv_inconsistent_width_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3,4\n5,6,7,8\n9,10,11\n")
@@ -176,3 +203,118 @@ def test_binary_non_finite_row(tmp_path):
     with pytest.raises(DatasetFormatError, match="non-finite value in point row 2"):
         load_dataset(path)
 
+
+# A reference reading of both formats, written from their documentation, for
+# the fuzz tests below: the data it accepts, or where the first error is.
+_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_binary(raw: bytes):
+    """``(coords, None)``, or ``"offset N"``: the first error's place."""
+    if len(raw) < 12:
+        return f"offset {len(raw)}"
+    n, d = struct.unpack_from("<II", raw, 4)
+    if n == 0 or d == 0:
+        return "offset 4"
+    if len(raw) != 12 + 8 * n * d:
+        return "offset 12"
+    coords = np.frombuffer(raw, dtype="<f8", offset=12).reshape(n, d)
+    finite = np.isfinite(coords).ravel()
+    return (coords, None) if finite.all() else f"offset {12 + 8 * int(np.argmin(finite))}"
+
+
+def reference_csv(raw: bytes, id_column):
+    """``(coords, ids)``, or ``"line N"``: the first error's place.
+
+    A line ends at LF, CR or CRLF and loses its ASCII whitespace at both ends;
+    a blank line is skipped. Tokens are ASCII decimal floats, finite, and ids
+    non-negative, unique ASCII decimal int64s; a token may carry the
+    whitespace that ``float`` and ``int`` skip.
+    """
+    text = raw.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    rows, ids, width = [], [], None
+    for lineno, line in enumerate(lines, start=1):
+        fields = [tok.strip(string.whitespace) for tok in line.strip(string.whitespace).split(",")]
+        if fields == [""]:
+            continue
+        width = width or len(fields)
+        if len(fields) != width:
+            return f"line {lineno}"
+        if id_column is not None:
+            tok = fields.pop(id_column)
+            if not _INT.fullmatch(tok) or not 0 <= int(tok) < 2**63 or int(tok) in ids:
+                return f"line {lineno}"
+            ids.append(int(tok))
+        if not all(_FLOAT.fullmatch(tok) and math.isfinite(float(tok)) for tok in fields):
+            return f"line {lineno}"
+        rows.append([float(tok) for tok in fields])
+    if not rows:
+        return f"line {len(lines) + 1}"
+    return np.array(rows), ids or None
+
+
+def reference_load(raw: bytes, id_column=None):
+    return reference_binary(raw) if raw[:4] == MAGIC else reference_csv(raw, id_column)
+
+
+# edits of a file: (position, replace / insert / delete, byte), the bytes drawn
+# from all 256 and, as often, from the ones that CSV and the floats in it use
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 1 << 16),
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789,.-+eE_ \t\r\n")),
+    ),
+    max_size=4,
+)
+_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+_ROWS = st.integers(1, 4).flatmap(lambda d: st.lists(st.lists(_VALUES, min_size=d, max_size=d), min_size=1, max_size=4))
+
+
+def mutate(raw: bytes, edits) -> bytes:
+    out = bytearray(raw)
+    for pos, kind, byte in edits:
+        pos %= len(out) + 1
+        if kind == "insert":
+            out.insert(pos, byte)
+        elif pos < len(out):
+            if kind == "replace":
+                out[pos] = byte
+            else:
+                del out[pos]
+    return bytes(out)
+
+
+def check_load(path, raw: bytes, id_column=None):
+    """``load_dataset`` gives the reference's data, or a format error at the reference's place."""
+    path.write_bytes(raw)
+    want = reference_load(raw, id_column)
+    if isinstance(want, str):
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(path, id_column=id_column)
+        assert re.search(rf"\b{want}\b", str(err.value)), (str(err.value), want)
+        return
+    ds = load_dataset(path, id_column=id_column)
+    coords, ids = want
+    assert ds.coords.tobytes() == np.ascontiguousarray(coords, dtype=np.float64).tobytes()
+    assert ds.ids.tolist() == (ids if ids is not None else list(range(len(coords))))
+
+
+@settings(max_examples=300)
+@given(rows=_ROWS, edits=_EDITS)
+def test_mutated_binary_file_loads_as_reference_or_names_offset(tmp_path_factory, rows, edits):
+    raw = MAGIC + struct.pack("<II", len(rows), len(rows[0])) + np.array(rows, dtype="<f8").tobytes()
+    check_load(tmp_path_factory.getbasetemp() / "fuzz.bin", mutate(raw, edits))
+
+
+@settings(max_examples=300)
+@given(rows=_ROWS, id_column=st.sampled_from([None, 0]), edits=_EDITS)
+def test_mutated_csv_file_loads_as_reference_or_names_line(tmp_path_factory, rows, id_column, edits):
+    ids = [[str(3 * i + 1)] if id_column == 0 else [] for i in range(len(rows))]
+    lines = [",".join(ident + [repr(v) for v in row]) for ident, row in zip(ids, rows)]
+    raw = ("\n".join(lines) + "\n").encode()
+    check_load(tmp_path_factory.getbasetemp() / "fuzz.csv", mutate(raw, edits), id_column)

@@ -10,7 +10,7 @@ import pytest
 
 from spacepart import vtree as vtree_module
 from spacepart.cli import main
-from spacepart.core import Dataset, NodeRows, Point, generate_gaussian_mixture, make_rng
+from spacepart.core import Dataset, Point, generate_gaussian_mixture, make_rng
 from spacepart.dataio import save_dataset
 from spacepart.kdtree import kd_partition
 from spacepart.vtree import (
@@ -257,7 +257,7 @@ def column_block_datasets():
 class TestColumnPieces:
     @pytest.mark.parametrize("name", ["mixture", "repeated", "lattice", "offset"])
     def test_block_size_changes_no_output(self, monkeypatch, name):
-        # every node fits the default block and is gathered; blocks and pieces of
+        # every node fits the default block and is copied; blocks and pieces of
         # 1, 7 and 64 rows (plus a remainder of values) read the nodes under half
         # of the data a piece at a time: pieces of 4, 4 and 64 rows
         ds = column_block_datasets()[name]
@@ -286,8 +286,8 @@ class TestColumnPieces:
         # 5000 rows at d = 1024: the first split's children are over one block and
         # read in pieces of 128 rows. With two OpenBLAS threads the gemv splits a
         # whole node's rows elsewhere than a piece's, and some column bits differ
-        # from the gathered node's (9 of 7500 rows in three columns of 2100- and
-        # 2500-row nodes); the builds must still write the gathered builds' outputs
+        # from the copied node's (9 of 7500 rows in three columns of 2100- and
+        # 2500-row nodes); the builds must still write the copying builds' outputs
         ds = generate_gaussian_mixture(5000, 1024, 8, seed=1)
 
         def outputs():
@@ -299,25 +299,35 @@ class TestColumnPieces:
             return out
 
         pieced = outputs()
-        monkeypatch.setattr("spacepart.core._BLOCK_VALUES", 1 << 40)  # every node under half is gathered
+        monkeypatch.setattr("spacepart.core._BLOCK_VALUES", 1 << 40)  # every node under half is copied
         assert outputs() == pieced
 
     @pytest.mark.parametrize("d", [3, 17, 33])
     def test_block_columns_have_the_whole_nodes_bits(self, monkeypatch, d):
-        # blocks and pieces of 16 rows; nodes on either side of piece edges, with
-        # tails of 0 to 4 rows, far from the origin where the expansion loses most
-        # bits. The pieces group the rows as OpenBLAS's gemv does on the whole node
+        # blocks and pieces of 16 rows, far from the origin where the expansion
+        # loses most bits, over all four reads of a node of the 400-row data:
+        # - nodes of 17 to 53 rows are read in pieces, on either side of piece
+        #   edges with tails of 0 to 4 rows; the pieces group the rows as
+        #   OpenBLAS's gemv does on the whole node;
+        # - nodes of 5 and 16 rows, one block at most, are copied;
+        # - the root and nodes of 200 to 399 rows read the dataset in place. From
+        #   d = 8 on, up to half of such a node's columns differ in some bits from
+        #   the copied node's, so theirs are the dataset's columns cut down to it
         monkeypatch.setattr("spacepart.core._BLOCK_VALUES", 16 * d)
         monkeypatch.setattr("spacepart.core._PIECE_VALUES", 16 * d)
         rng = np.random.default_rng(d)
         coords = rng.normal(size=(400, d)) + 1e6
         sqnorms = row_sqnorms(coords)
-        for n in (17, 18, 19, 20, 21, 32, 33, 34, 49, 50, 51, 52, 53):
-            rows = np.sort(rng.choice(400, size=n, replace=False))
-            column = vtree_module._distance_column(NodeRows(coords, sqnorms, np.arange(400), rows), 400)
-            node, node_sq = coords[rows], sqnorms[rows]
+        sizes = (5, 16, 17, 18, 19, 20, 21, 32, 33, 34, 49, 50, 51, 52, 53, 200, 201, 399)
+        for rows in [None, *(np.sort(rng.choice(400, size=n, replace=False)) for n in sizes)]:
+            column = vtree_module._distance_column(coords, sqnorms, rows, 400)
+            rows = np.arange(400) if rows is None else rows
+            n, node, node_sq = len(rows), coords[rows], sqnorms[rows]
             for p in (0, n // 2, n - 1):
-                want = expansion_column(node, node_sq, node[p], node_sq[p])
+                if 2 * n >= 400:
+                    want = expansion_column(coords, sqnorms, node[p], node_sq[p])[rows]
+                else:
+                    want = expansion_column(node, node_sq, node[p], node_sq[p])
                 assert column(p).tobytes() == want.tobytes(), (n, p)
 
 
