@@ -26,7 +26,10 @@ whose column variances read them a piece at a time (``core._piece_rows``),
 wrote the same tree JSON, assignment CSV bytes and leaf ids. Equal
 column-block digests (eighth line) mean the same of random, gnat and kmeans++
 vtree builds in which some node under half of the dataset is larger than one
-block, so that its distance columns read it a piece at a time.
+block, so that its distance columns read it a piece at a time. Lines 1, 7 and
+8 hash tree JSON, in which each vtree center is its id and ``coords_b64``, the
+base64 of its float64 bytes, so they equal between checkouts only if every
+center's coordinates do bit for bit.
 
 Lines 3, 5, 6 and 7 go through no BLAS call, so they do not depend on the
 BLAS library or its thread count, and ``tests/test_output_digest.py`` pins

@@ -184,7 +184,8 @@ def _cmd_partition(args) -> int:
     json_path = f"{prefix}.tree.json"
     write_assignment_csv(assignment, csv_path)
     with open(json_path, "w", encoding="utf-8") as f:
-        f.write(tree_json + "\n")
+        f.write(tree_json)
+        f.write("\n")
     metrics = compute_metrics(assignment)
     print(f"wrote {csv_path} and {json_path}")
     print(f"sizes={list(metrics.sizes)} bias={metrics.bias:.4f} affected={metrics.affected_count}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
+import string
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -517,6 +519,7 @@ def split_largest_leaf(n: int, m: int, split, root_tag=None):
 # a megabyte, so the whole file's text is never in memory at once
 _CSV_BLOCK = 1 << 14
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_CSV_INT = re.compile(r"-?[0-9]+")  # a read field: ASCII digits only, unlike int()
 
 
 def _decimal_width(value) -> int:
@@ -572,22 +575,35 @@ def write_assignment_csv(assignment: PartitionAssignment, path) -> None:
 
 
 def read_assignment_csv(path) -> PartitionAssignment:
-    """Read `point-id,partition-id,affected-flag` rows; malformed rows raise with their line."""
+    """Read `point-id,partition-id,affected-flag` rows; every error names the file and its line.
+
+    A field is ASCII decimal digits with an optional leading ``-``, what the
+    writer emits: ``int`` alone would also take digit groups (``1_0``) and
+    non-ASCII digits (``١``). Ids are int64 and partition ids non-negative. An
+    undecodable byte becomes a lone surrogate, which the field check names.
+    """
     labels: dict[int, int] = {}
     affected = []
-    with open(path, "r", encoding="utf-8") as f:
+    lineno = 0
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+            line = line.strip(string.whitespace)  # str.strip() would also take non-ASCII spaces
             if not line:
                 continue
             where = f"{path}: line {lineno}"
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{where}: expected 3 fields, got {len(parts)}")
-            try:
+            try:  # int() also raises on a digit string over its length limit
+                if not all(_CSV_INT.fullmatch(x) for x in parts):
+                    raise ValueError
                 pt, part, flag = (int(x) for x in parts)
             except ValueError:
                 raise ValueError(f"{where}: expected three integers, got {line!r}") from None
+            if not -(2**63) <= pt < 2**63:
+                raise ValueError(f"{where}: point id {pt} is outside int64")
+            if not 0 <= part < 2**63:
+                raise ValueError(f"{where}: partition id {part} is not a non-negative int64")
             if pt in labels:
                 raise ValueError(f"{where}: point id {pt} appears twice")
             if flag not in (0, 1):
@@ -596,5 +612,5 @@ def read_assignment_csv(path) -> PartitionAssignment:
             if flag:
                 affected.append(pt)
     if not labels:
-        raise ValueError(f"{path}: empty assignment file")
+        raise ValueError(f"{path}: line {lineno + 1}: end of file before any assignment row")
     return PartitionAssignment(max(labels.values()) + 1, labels, affected)

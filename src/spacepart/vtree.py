@@ -56,6 +56,7 @@ rule); median seeding copies every node.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -564,13 +565,22 @@ def merge_order(tree: VTree) -> MergeOrder:
     return MergeOrder(steps=tuple(steps), leaf_count=tree.leaf_count)
 
 
+def _coords_b64(coords: np.ndarray) -> str:
+    """Base64 of the little-endian IEEE-754 float64 bytes of ``coords``.
+
+    ``np.frombuffer(base64.b64decode(s), "<f8")`` gives them back bit for bit.
+    """
+    return base64.b64encode(coords.astype("<f8").tobytes()).decode("ascii")
+
+
 def vtree_to_dict(tree: VTree) -> dict:
+    """The tree as plain data; a center is its point ``id`` and ``coords_b64``."""
     def rec(node: VNode):
         if node.is_leaf:
             return {"leaf": node.partition_id, "count": len(node.members)}
         return {
             "level": node.level,
-            "centers": [{"id": c.id, "coords": c.coords.tolist()} for c in node.centers],
+            "centers": [{"id": c.id, "coords_b64": _coords_b64(c.coords)} for c in node.centers],
             "counts": list(node.child_counts),
             "overlap_count": node.overlap_count,
             "axis": node.axis,

@@ -1,3 +1,4 @@
+import base64
 import ctypes
 
 import numpy as np
@@ -33,6 +34,26 @@ def integer_dataset(seed: int, n: int, d: int, span: int = 1000) -> Dataset:
     """Integer-valued coordinates: distance sums are exact in float64."""
     rng = make_rng(seed)
     return Dataset(rng.integers(0, span, size=(n, d)).astype(float))
+
+
+def assert_centers_are_rows(doc: dict, ds: Dataset) -> int:
+    """Check that every center of a vtree JSON document is its dataset row, bit for bit.
+
+    A center is its point ``id`` and ``coords_b64``, base64 of d little-endian
+    float64 values, with no ``coords`` list. Returns the number of centers.
+    """
+    row_of = {int(i): r for r, i in enumerate(ds.ids)}
+    stack, count = [doc["root"]], 0
+    while stack:
+        node = stack.pop()
+        stack.extend(node.get("children", ()))
+        for center in node.get("centers", ()):
+            assert set(center) == {"id", "coords_b64"}
+            coords = np.frombuffer(base64.b64decode(center["coords_b64"], validate=True), "<f8")
+            assert coords.shape == (ds.dims,)
+            assert coords.tobytes() == ds.coords[row_of[center["id"]]].astype("<f8").tobytes()
+            count += 1
+    return count
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ import spacepart.cli as cli
 from spacepart.cli import main
 from spacepart.dataio import load_dataset
 
+from conftest import assert_centers_are_rows
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -44,6 +46,34 @@ def test_partition_writes_assignment_and_tree(tmp_path, capsys):
     assert len(rows) == 100
     doc = json.loads((tmp_path / "run.tree.json").read_text())
     assert doc["kind"] == "vtree" and doc["m"] == 4
+
+
+@pytest.mark.parametrize("seeding", ["kmeanspp", "median"])
+def test_partition_tree_centers_are_binary_input_rows(tmp_path, capsys, seeding):
+    data = tmp_path / "data.bin"
+    run(capsys, "gen", "--mixture", "-n", "300", "-d", "6", "--seed", "3", "-o", str(data))
+    code, _, _ = run(capsys, "partition", "--scheme", "vtree", "--seeding", seeding, "-m", "5", "--eps", "0.5",
+                     "-i", str(data), "-o", str(tmp_path / "run"))
+    assert code == 0
+    doc = json.loads((tmp_path / "run.tree.json").read_text())
+    assert assert_centers_are_rows(doc, load_dataset(data)) == 8
+
+
+@pytest.mark.parametrize("seeding", ["kmeanspp", "median"])
+def test_partition_tree_centers_are_csv_input_rows_by_id(tmp_path, capsys, seeding):
+    # ids in the middle column, in shuffled order and far from the row numbers
+    rng = np.random.default_rng(4)
+    coords = rng.normal(size=(120, 3)) * [1e-3, 1.0, 1e5]
+    ids = 10**12 + 17 * rng.permutation(120)
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{x!r},{i},{y!r},{z!r}\n" for (x, y, z), i in zip(coords.tolist(), ids.tolist())))
+    code, _, _ = run(capsys, "partition", "--scheme", "vtree", "--seeding", seeding, "-m", "4", "--id-column", "1",
+                     "-i", str(data), "-o", str(tmp_path / "run"))
+    assert code == 0
+    doc = json.loads((tmp_path / "run.tree.json").read_text())
+    ds = load_dataset(data, id_column=1)
+    assert ds.coords.tobytes() == coords.tobytes()
+    assert assert_centers_are_rows(doc, ds) == 6
 
 
 def test_partition_kdtree(tmp_path, capsys):

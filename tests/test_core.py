@@ -415,6 +415,44 @@ class TestAssignmentCsv:
             read_assignment_csv(path)
         assert str(err.value) == f"{path}: {problem}"
 
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            (b"0,0,0\n1,\xff1,0\n", "line 2: expected three integers, got '1,\\udcff1,0'"),
+            (b"1_0,0,1\n", "line 1: expected three integers, got '1_0,0,1'"),
+            ("0,0,0\n\u0661,0,0\n".encode(), "line 2: expected three integers, got '\u0661,0,0'"),
+            ("0,0,0\u00a0\n".encode(), "line 1: expected three integers, got '0,0,0\\xa0'"),
+            (b"+1,0,0\n", "line 1: expected three integers, got '+1,0,0'"),
+            (b"9223372036854775808,0,0\n", "line 1: point id 9223372036854775808 is outside int64"),
+            (b"1,-1,0\n", "line 1: partition id -1 is not a non-negative int64"),
+            (b"\n\n", "line 3: end of file before any assignment row"),
+        ],
+        ids=["non-utf8-byte", "digit-group", "non-ascii-digit", "no-break-space", "plus-sign", "id-past-int64",
+             "negative-partition", "no-rows"],
+    )
+    def test_fields_other_than_ascii_decimal_name_file_and_line(self, tmp_path, data, problem):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            read_assignment_csv(path)
+        assert str(err.value) == f"{path}: {problem}"
+
+    @settings(max_examples=100)
+    @given(
+        ids=st.lists(st.one_of(st.sampled_from(_EDGE_IDS), st.integers(-(2**63), 2**63 - 1)),
+                     min_size=1, max_size=40, unique=True),
+        data=st.data(),
+    )
+    def test_read_gives_back_what_was_written(self, tmp_path_factory, ids, data):
+        # negative ids included: the writer emits them
+        labels = data.draw(st.lists(st.integers(0, 300), min_size=len(ids), max_size=len(ids)))
+        flagged = [i for i in ids if data.draw(st.booleans())]
+        path = tmp_path_factory.mktemp("csv") / "a.csv"
+        write_assignment_csv(PartitionAssignment.from_arrays(max(labels) + 1, ids, labels, flagged), path)
+        back = read_assignment_csv(path)
+        assert back.partition_count == max(labels) + 1
+        assert back.labels == dict(zip(ids, labels)) and back.affected == frozenset(flagged)
+
 
 class TestSplitLargestLeaf:
     @staticmethod

@@ -33,7 +33,7 @@ def output_digest():
         (
             "block_line",
             "4 builds over several variance blocks",
-            "da1dd9800e0281b80f99beeba9484a791e6d0080d4e6219dacbab5bce015ec6a",
+            "fbc66186c594c0a64b28b12dfa7313f36b557966a8f44743ef715b885b2f6cfa",
         ),
     ],
 )

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import itertools
 import json
@@ -29,7 +30,7 @@ from spacepart.vtree import (
     vtree_to_json,
 )
 
-from conftest import integer_dataset, random_dataset
+from conftest import assert_centers_are_rows, integer_dataset, random_dataset
 
 
 def centers_2d():
@@ -682,7 +683,19 @@ class TestSerialization:
         assert doc["m"] == 3 and doc["strategy"] == "kmeanspp"
         root = doc["root"]
         assert {"level", "centers", "counts", "overlap_count", "children"} <= set(root)
-        assert len(root["centers"][0]["coords"]) == 2
+        coords = np.frombuffer(base64.b64decode(root["centers"][0]["coords_b64"]), "<f8")
+        assert coords.shape == (2,)
+
+    @pytest.mark.parametrize("strategy", ["kmeanspp", "median"])
+    def test_centers_are_their_rows_float64_bytes(self, strategy):
+        # ids that are not row numbers; coordinates over 14 orders of magnitude and a -0.0
+        rng = np.random.default_rng(5)
+        coords = rng.normal(size=(90, 3)) * np.array([1e-7, 1.0, 1e7])
+        coords[::7, 1] = -0.0
+        ds = Dataset(coords, ids=rng.permutation(1000)[:90] * 7 + 3)
+        doc = vtree_to_dict(build_vtree(ds, 6, strategy=strategy, eps=0.25, seed=2))
+        assert assert_centers_are_rows(doc, ds) == 10
+        assert (doc["root"]["axis"] is not None) == (strategy == "median")
 
     def test_dict_counts_match_assignment(self):
         ds = random_dataset(71, 80, 2)
