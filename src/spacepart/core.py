@@ -205,6 +205,8 @@ def _piece_rows(d: int) -> int:
     the vtree's distance columns (``vtree._distance_column``): a node of at
     most one block (``_block_rows``) is read whole, and a larger one a piece
     of these rows at a time through one buffer, so no copy outgrows a block.
+    The variance also reads narrow rows in place a piece at a time, whatever
+    their size.
     A piece holds a multiple of four rows, at least four, for the vtree's
     matvec (``vtree._distance_column`` says why); the variance's bits do not
     depend on the piece size. ``_pieces`` cuts the rows. The vtree also reads
@@ -224,7 +226,7 @@ def _pieces(coords: np.ndarray, rows, n: int, buf: np.ndarray):
     """``(lo, hi, piece)``: rows ``lo:hi`` of the ``n`` rows ``coords[rows]`` (None: ``coords``), a piece at a time.
 
     A piece holds ``len(buf) - 1`` rows, and a one-row tail joins the piece
-    before it (``vtree._distance_column`` says why); ``n`` must be at least 2.
+    before it (``vtree._distance_column`` says why); ``n`` = 1 gives no piece.
     A piece is a view of ``coords`` when ``rows`` is None and otherwise a copy of
     its rows in ``buf``, which the next piece overwrites.
     """
@@ -251,27 +253,33 @@ def _column_variance(coords: np.ndarray, rows=None) -> np.ndarray:
     ``_EINSUM_MAX_COLUMNS`` wide and ``np.add.reduce`` wider ones. The mean,
     the subtraction, the square and the final divide are numpy's own.
 
-    The rows are read as ``_piece_rows`` says. Rows that fit one block are
-    read in one piece: their deviations are one temporary as large as the
-    rows, and rows wider than ``_EINSUM_MAX_COLUMNS`` go to ``var`` itself.
-    Larger inputs are read a piece at a time (``_pieces``), and each
-    piece's deviations go to one reused buffer. Row 0 of that buffer carries each
-    column's running sum into the next piece's sum, so every column is still
-    summed row after row and the bits do not depend on the piece size. The
-    mean of all rows takes no pieces, as a column sum makes no temporary;
-    the mean of ``rows`` takes each piece once more. d = 1, whose one
-    contiguous column numpy sums pairwise, and non-contiguous ``coords``
-    without ``rows``, which it may sum in yet another order, go to ``var``.
+    The rows are read as ``_piece_rows`` says. A node's ``rows`` that fit
+    one block are copied whole, and their deviations overwrite the copy, so
+    a narrow split holds one block. Rows wider than ``_EINSUM_MAX_COLUMNS``
+    that fit one block go to ``var`` itself, whose deviations are a second
+    array as large as the rows: a wide split holds at most two blocks. All
+    other inputs are read a piece at a time (``_pieces``), rows read in
+    place (a dataset's coordinates, median seeding's node copy) at any size,
+    and each piece's deviations go to one reused buffer of at most a piece.
+    Row 0 of that buffer carries each column's running sum into the next
+    piece's sum, so every column is still summed row after row and the bits
+    do not depend on the piece size. The mean of all rows takes no pieces,
+    as a column sum makes no temporary; the mean of ``rows`` takes each
+    piece once more. d = 1, whose one contiguous column numpy sums
+    pairwise, and non-contiguous ``coords`` without ``rows``, which it may
+    sum in yet another order, go to ``var``.
     """
     n, d = (coords.shape[0] if rows is None else len(rows)), coords.shape[1]
-    if n <= _block_rows(d) or d == 1 or (rows is None and not coords.flags.c_contiguous):
-        x = coords if rows is None else np.take(coords, rows, axis=0)  # a third faster than coords[rows]
-        if d == 1 or d > _EINSUM_MAX_COLUMNS or not x.flags.c_contiguous:
-            return x.var(axis=0)
-        dev = x - np.einsum("ij->j", x) / n
-        np.square(dev, out=dev)
-        return np.einsum("ij->j", dev) / n
-    buf = np.empty((_piece_rows(d) + 2, d))  # row 0: the running column sums
+    fits = n <= _block_rows(d)
+    if d == 1 or (rows is None and not coords.flags.c_contiguous) or (fits and d > _EINSUM_MAX_COLUMNS):
+        return (coords if rows is None else np.take(coords, rows, axis=0)).var(axis=0)
+    if fits and rows is not None:
+        x = np.take(coords, rows, axis=0)  # a third faster than coords[rows]
+        np.subtract(x, np.einsum("ij->j", x) / n, out=x)
+        np.square(x, out=x)
+        return np.einsum("ij->j", x) / n
+    # row 0: the running column sums. One row takes no piece and keeps its variance, 0
+    buf = np.empty((min(n, _piece_rows(d)) + 2, d))
     if rows is None:
         mean = _column_sum(coords) / n
     else:
@@ -296,8 +304,9 @@ def _widest_axis(coords: np.ndarray, rows=None) -> int:
     into [0.5, 1), are taken again. The scaling is exact except for values it
     pushes below the normal range, so the axis follows the real spread.
     Finite variances never take that path; it copies the rows whole, so it
-    is not held to the read rule of ``_piece_rows``, under which a split
-    holds at most two blocks: a one-block node's copy and its deviations.
+    is not held to the read rule of ``_piece_rows``, under which a narrow
+    split holds one block, a one-block node's copy that takes its own
+    deviations, and a wide split at most two, that copy and ``var``'s.
     """
     with np.errstate(over="ignore"):
         var = _column_variance(coords, rows)

@@ -8,11 +8,13 @@ dimension with ``np.partition``, and routes points left/right with a
 deterministic tie rule that guarantees the two sides differ by at most one
 point. Leaves are the partitions.
 
-A node is never copied: the split reads its rows in the dataset, and its
-variance reads them as ``core._piece_rows`` says (whole up to one 16 MB
-block, a piece at a time beyond); its split dimension is one column of them.
-So a split whose variances are finite holds at most two blocks on top of the
-dataset (see ``core._widest_axis`` for the overflow case).
+The split reads a node's rows in the dataset, and its variance reads them
+as ``core._piece_rows`` says (a copy of the node up to one 16 MB block, a
+piece at a time beyond and at the root); its split dimension is one column
+of them. So a split whose variances are finite holds at most one block on
+top of the dataset up to ``core._EINSUM_MAX_COLUMNS`` columns, where the
+copy takes its own deviations, and at most two with wider rows (see
+``core._widest_axis``).
 
 ``scan_count`` counts rows read: one pass each for variance, selection and
 labelling per split, plus the eps band pass when eps > 0 (at eps = 0 the band

@@ -34,9 +34,15 @@ _LEGEND_W = 170.0
 
 
 def render_2d(ds: Dataset, assignment: PartitionAssignment, path=None) -> str:
-    """Render a 2-D dataset colored by partition; optionally write it to a file."""
+    """Render a 2-D dataset colored by partition; optionally write it to a file.
+
+    The legend has one entry per partition, so an assignment with more
+    partitions than the dataset has points, which no builder makes, is refused.
+    """
     if ds.dims != 2:
         raise ValueError(f"rendering is 2-D only, dataset has {ds.dims} dimensions")
+    if assignment.partition_count > ds.n:
+        raise ValueError(f"assignment has {assignment.partition_count} partitions, more than the {ds.n} points")
     assignment.validate_against(ds)
 
     (x_lo, x_hi), (y_lo, y_hi) = ds.bounds

@@ -123,7 +123,8 @@ def select_positions(kind: str, ids: np.ndarray, k: int, rng: np.random.Generato
     positions = [first]
     cols = [column(first)]
     if kind == "kmeanspp":
-        nearest = cols[0].copy()
+        # the running minimum; it only changes once a third center is to be drawn
+        nearest = cols[0].copy() if k > 2 else cols[0]
         while len(positions) < k:
             if not nearest.sum() > 0:
                 distinct = len(np.unique(node_coords(), axis=0))

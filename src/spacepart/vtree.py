@@ -17,7 +17,9 @@ Distance kernel: ``expansion_column`` computes squared distances as
 |p|^2 - 2 p.c + |c|^2 with precomputed row norms, clamped at zero. One BLAS
 column per center replaces per-center subtraction passes, which is what makes
 high-dimensional builds cheap; construction (seeding included) and
-verification go through it.
+verification go through it. The column is the kernel's only array: the
+doubling, the subtraction, the center's norm and the clamp are written into
+the matvec's own output.
 
 Single-point queries (``route_point``, ``affected_partitions``) do the
 kernel's float operations in the kernel's order on the 1-D probe row: one
@@ -40,14 +42,17 @@ not be changed after its first query.
 Labeller: ``_split_rows`` turns per-center columns into labels, the affected
 mask and child counts, for the build and for public ``assign_to_centers``
 alike; the latter feeds it the plain elementwise columns, where exact zero
-self-distances matter more than throughput. ``core.split_largest_leaf``,
-shared with the kd-tree, owns the split order, the node rows, the labels and
-the affected rows; this module only cuts one node. ``scan_count`` counts rows
-read in the kd-tree's units: n for the row norms, then the node's rows once
-per distance column and once for labelling, per split attempt (median seeding:
-variance, selection, two axis columns, labelling). Copies, piece reads, and
-the passes over the whole dataset of a node that reads it in place, are
-layout, not algorithm, and are not counted.
+self-distances matter more than throughput. Both hand over columns they own:
+at k = 2 the labels are bool and the margin test takes its square roots and
+difference in the columns themselves. kmeans++ copies its first column as the
+running minimum of its draws only when a third center is drawn.
+``core.split_largest_leaf``, shared with the kd-tree, owns the split order,
+the node rows, the labels and the affected rows; this module only cuts one
+node. ``scan_count`` counts rows read in the kd-tree's units: n for the row
+norms, then the node's rows once per distance column and once for labelling,
+per split attempt (median seeding: variance, selection, two axis columns,
+labelling). Copies, piece reads, and the passes over the whole dataset of a
+node that reads it in place, are layout, not algorithm, and are not counted.
 
 A random, gnat or kmeans++ split copies at most one 16 MB block of its node
 (``_distance_column`` says how it reads the node, under ``core._piece_rows``'s
@@ -100,8 +105,17 @@ def row_sqnorms(coords: np.ndarray) -> np.ndarray:
 
 
 def expansion_column(coords: np.ndarray, sqnorms: np.ndarray, center: np.ndarray, center_sqnorm) -> np.ndarray:
-    """Squared distances from every row to one center: clamped |p|^2 - 2 p.c + |c|^2."""
-    return np.maximum(sqnorms - 2.0 * (coords @ center) + center_sqnorm, 0.0)
+    """Squared distances from every row to one center: clamped |p|^2 - 2 p.c + |c|^2.
+
+    The bits of ``np.maximum(sqnorms - 2.0 * (coords @ center) + center_sqnorm,
+    0.0)``: the same operations in the same order, each written into the
+    matvec's own output, so the column is the only array it makes.
+    """
+    col = coords @ center
+    np.multiply(col, 2.0, out=col)
+    np.subtract(sqnorms, col, out=col)
+    np.add(col, center_sqnorm, out=col)
+    return np.maximum(col, 0.0, out=col)
 
 
 @dataclass
@@ -210,19 +224,21 @@ def _split_rows(cols, axis, eps: float, k: int):
     values order identically, and the 2*eps margin test moves to real values
     only when eps is positive. Labels go to the nearest center, ties to the
     lowest center index; a tied point is affected for any eps.
+
+    At k = 2 the labels are bool (child 1 or not), and the margin test takes
+    its square roots and difference in the columns themselves, so the caller
+    hands over columns it owns and does not read again.
     """
     if k == 1:
         n = len(cols[0])
         return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.array([n])
     if k == 2:
         c0, c1 = cols
-        labels = (c1 < c0).astype(np.int64)
-        if eps == 0.0:
-            affected = c0 == c1
-        elif axis is not None:
-            affected = np.abs(c0 - c1) <= 2.0 * eps
-        else:
-            affected = np.abs(np.sqrt(c0) - np.sqrt(c1)) <= 2.0 * eps
+        labels = c1 < c0
+        if eps > 0.0 and axis is None:
+            np.sqrt(c0, out=c0)
+            np.sqrt(c1, out=c1)
+        affected = c0 == c1 if eps == 0.0 else np.abs(np.subtract(c0, c1, out=c0), out=c0) <= 2.0 * eps
         ones = int(labels.sum())
         counts = np.array([len(labels) - ones, ones], dtype=np.int64)
         return labels, affected, counts

@@ -150,6 +150,19 @@ def test_render_creates_svg(tmp_path, capsys):
     assert (tmp_path / "plot.svg").read_text().startswith("<?xml")
 
 
+@pytest.mark.parametrize("top", [2, 200000])
+def test_render_refuses_more_partitions_than_points(tmp_path, capsys, top):
+    # a stray large partition id would size the legend and the per-partition counts
+    data = tmp_path / "d.bin"
+    run(capsys, "gen", "--uniform", "-n", "2", "-d", "2", "-o", str(data))
+    (tmp_path / "a.csv").write_text(f"0,0,0\n1,{top},0\n")
+    code, _, err = run(capsys, "render", "-i", str(data), "-a", str(tmp_path / "a.csv"),
+                       "-o", str(tmp_path / "plot.svg"))
+    assert code == 2
+    assert f"{top + 1} partitions" in err and "2 points" in err
+    assert not (tmp_path / "plot.svg").exists()
+
+
 def test_bench_tiny(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "bench", "--datasets", "60x2,40x4", "--schemes", "kdtree,vtree:median",

@@ -23,6 +23,13 @@ def test_rejects_non_2d():
         render_2d(ds, PartitionAssignment(1, {int(i): 0 for i in ds.ids}))
 
 
+def test_rejects_more_partitions_than_points():
+    ds = random_dataset(1, 10, 2)
+    with pytest.raises(ValueError, match="^assignment has 11 partitions, more than the 10 points$"):
+        render_2d(ds, PartitionAssignment(11, {int(i): int(i) + 1 for i in ds.ids}))
+    assert render_2d(ds, PartitionAssignment(10, {int(i): int(i) for i in ds.ids})).count("<circle") == 10
+
+
 def test_deterministic_bytes(tmp_path):
     ds = random_dataset(2, 100, 2)
     tree = build_vtree(ds, 4, strategy="kmeanspp", seed=1)

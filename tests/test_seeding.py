@@ -12,6 +12,8 @@ from spacepart.seeding import (
     seeds_kmeanspp,
     seeds_median,
     seeds_random,
+    select_positions,
+    sq_column,
     weighted_index,
 )
 
@@ -148,6 +150,30 @@ class TestKmeanspp:
         assert freqs[0] == 0.0
         assert abs(freqs[1] - 0.2) <= 0.03
         assert abs(freqs[2] - 0.8) <= 0.03
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_a_selector_that_copies_the_running_minimum(self, k):
+        # the selector keeps the first column itself unless a third center is drawn;
+        # its positions and every column it returns must be the reference's
+        def reference(coords, seed):
+            rng = make_rng(seed)
+            positions = [int(rng.integers(len(coords)))]
+            nearest = sq_column(coords, coords[positions[0]]).copy()
+            while len(positions) < k:
+                positions.append(weighted_index(nearest, float(rng.random())))
+                nearest = np.minimum(nearest, sq_column(coords, coords[positions[-1]]))
+            return positions
+
+        for ds in (random_dataset(5, 120, 3), integer_dataset(6, 120, 2)):
+            coords, ids = ds.coords, ds.ids
+            for seed in range(12):
+                want = reference(coords, seed)
+                assert [c.id for c in seeds_kmeanspp(ds, k, rng=seed).centers] == ids[want].tolist()
+                positions, cols = select_positions(
+                    "kmeanspp", ids, k, make_rng(seed), lambda p: sq_column(coords, coords[p]), lambda: coords
+                )
+                assert positions == want
+                assert all(np.array_equal(col, sq_column(coords, coords[p])) for p, col in zip(positions, cols))
 
     def test_deterministic(self):
         ds = random_dataset(3, 40, 2)

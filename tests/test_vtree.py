@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spacepart import core
 from spacepart import vtree as vtree_module
 from spacepart.cli import main
 from spacepart.core import Dataset, Point, generate_gaussian_mixture, make_rng
@@ -330,6 +331,55 @@ class TestColumnPieces:
                 else:
                     want = expansion_column(node, node_sq, node[p], node_sq[p])
                 assert column(p).tobytes() == want.tobytes(), (n, p)
+
+
+def old_split_rows(c0, c1, axis, eps):
+    """The reference k = 2 labeller: int64 labels and new arrays throughout, on copies."""
+    c0, c1 = c0.copy(), c1.copy()
+    labels = (c1 < c0).astype(np.int64)
+    if eps == 0.0:
+        affected = c0 == c1
+    elif axis is not None:
+        affected = np.abs(c0 - c1) <= 2.0 * eps
+    else:
+        affected = np.abs(np.sqrt(c0) - np.sqrt(c1)) <= 2.0 * eps
+    ones = int(labels.sum())
+    return labels, affected, np.array([len(labels) - ones, ones])
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("d", [1, 2, 8, 128, 129, 1024])
+    def test_expansion_column_leaves_read_only_inputs_and_has_the_formulas_bits(self, d):
+        # row counts on either side of one piece and of one block, far from the
+        # origin, with the center one of the rows so that the clamp bites; the
+        # inputs are read-only, as a dataset's are, and must come back unchanged
+        block, piece = core._block_rows(d), core._piece_rows(d)
+        rng = np.random.default_rng(d + 5)
+        coords = rng.normal(size=(block + 1, d)) + 1e3
+        sqnorms = row_sqnorms(coords)
+        coords.setflags(write=False)
+        sqnorms.setflags(write=False)
+        before = coords.tobytes(), sqnorms.tobytes()
+        for n in (piece - 1, piece + 1, block, block + 1):
+            x, sq = coords[:n], sqnorms[:n]
+            for p in (0, n // 2):
+                col = expansion_column(x, sq, x[p], sq[p])
+                want = np.maximum(sq - 2.0 * (x @ x[p]) + sq[p], 0.0)
+                assert col.tobytes() == want.tobytes(), (n, p)
+        assert (coords.tobytes(), sqnorms.tobytes()) == before
+
+    @pytest.mark.parametrize("axis", [None, 0])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0])
+    def test_two_way_labeller_matches_the_int64_formula(self, axis, eps):
+        # squared distances on a coarse lattice: ties, zeros and gaps of exactly 2*eps
+        rng = np.random.default_rng(17)
+        c0 = rng.integers(0, 100, size=2000).astype(float)
+        c1 = np.where(rng.random(2000) < 0.2, c0, rng.integers(0, 100, size=2000).astype(float))
+        want = old_split_rows(c0, c1, axis, eps)
+        labels, affected, counts = vtree_module._split_rows([c0.copy(), c1.copy()], axis, eps, 2)
+        assert labels.dtype == bool and np.array_equal(labels, want[0])
+        assert np.array_equal(affected, want[1]) and affected.any() and not affected.all()
+        assert counts.tolist() == want[2].tolist()
 
 
 class TestRouting:
