@@ -4,9 +4,12 @@ variances, builds over several variance blocks and vtree builds whose distance c
 
 Run it on two checkouts; equal build digests (first line) mean every covered
 build wrote the same tree JSON, the same assignment CSV bytes and the same leaf
-ids (or failed with the same message). ``scan_count`` is left out, so a change
-of that counter alone does not move the digest. Equal query digests (second
-line) mean every vtree build that did not fail answered 20 fixed probes per
+ids (or failed with the same message). Of the 162 builds 4 fail, all kmeans++
+at m=16 on the set where every location repeats: a node's points span one
+location. Every median build builds, since median seeding makes kd's cut,
+which splits points tied at the median by id. ``scan_count`` is left out, so
+a change of that counter alone does not move the digest. Equal query digests
+(second line) mean every vtree build that did not fail answered 20 fixed probes per
 dataset with the same ``route_point_counted`` leaf and comparison count and the
 same ``affected_partitions`` set at the build's eps. Equal grid digests (third
 line) mean every fixed grid reported the same ``grid_stats`` JSON, the same

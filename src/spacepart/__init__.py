@@ -21,7 +21,7 @@ _EXPORTS = {
     "grid": ("GridConfig", "GridFeasibilityError", "GridIndex", "build_grid", "grid_find_median", "grid_stats",
              "locate_cube"),
     "kdtree": ("KdNode", "KdPartitionTree", "kd_partition", "kd_tree_to_json", "select_median", "select_rank"),
-    "seeding": ("SeedSet", "SeedStrategy", "seeds_gnat", "seeds_kmeanspp", "seeds_median", "seeds_random"),
+    "seeding": ("SeedSet", "seeds_gnat", "seeds_kmeanspp", "seeds_median", "seeds_random"),
     "vtree": ("MergeOrder", "VNode", "VTree", "affected_partitions", "assign_to_centers", "build_vtree",
               "merge_order", "route_point", "vtree_to_json"),
     "bench": ("BenchConfig", "BenchReport", "DatasetSpec", "emit_report", "parse_scheme", "run_benchmark",

@@ -29,11 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, compute_metrics, generate_gaussian_mixture, generate_uniform
+from .core import Dataset, check_strategy, compute_metrics, generate_gaussian_mixture, generate_uniform
 from .dataio import load_dataset
 from .grid import GridConfig, GridFeasibilityError, build_grid, grid_stats
 from .kdtree import kd_partition
-from .seeding import SeedStrategy
 from .vtree import build_vtree
 
 __all__ = [
@@ -91,7 +90,7 @@ def parse_scheme(token: str) -> tuple[str, Optional[str]]:
     if token == "grid-stats":
         return "grid-stats", None
     if token.startswith("vtree:"):
-        return "vtree", SeedStrategy(token.split(":", 1)[1]).kind
+        return "vtree", check_strategy(token.split(":", 1)[1])
     raise ValueError(f"unknown scheme {token!r} (expected kdtree, vtree:<strategy>, or grid-stats)")
 
 

@@ -39,6 +39,13 @@ __all__ = [
 STRATEGY_KINDS = ("random", "gnat", "kmeanspp", "median")
 
 
+def check_strategy(kind: str) -> str:
+    """``kind`` if it is one of ``STRATEGY_KINDS``; otherwise a ValueError naming them."""
+    if kind not in STRATEGY_KINDS:
+        raise ValueError(f"unknown seeding strategy {kind!r}, expected one of {STRATEGY_KINDS}")
+    return kind
+
+
 def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
     """Return a PCG64-backed generator for the given integer seed.
 
@@ -210,8 +217,7 @@ def _piece_rows(d: int) -> int:
     A piece holds a multiple of four rows, at least four, for the vtree's
     matvec (``vtree._distance_column`` says why); the variance's bits do not
     depend on the piece size. ``_pieces`` cuts the rows. The vtree also reads
-    a node of at least half of the dataset in place, and median seeding
-    copies every node.
+    a node of at least half of the dataset in place.
 
     In-process builds on a 2-vCPU Xeon with 2 MB of L2 per core: 16 MB
     pieces made partition-hd vtree builds (20000x1024, m=64) 1.12x the time
@@ -259,8 +265,8 @@ def _column_variance(coords: np.ndarray, rows=None) -> np.ndarray:
     that fit one block go to ``var`` itself, whose deviations are a second
     array as large as the rows: a wide split holds at most two blocks. All
     other inputs are read a piece at a time (``_pieces``), rows read in
-    place (a dataset's coordinates, median seeding's node copy) at any size,
-    and each piece's deviations go to one reused buffer of at most a piece.
+    place (a dataset's coordinates) at any size, and each piece's
+    deviations go to one reused buffer of at most a piece.
     Row 0 of that buffer carries each column's running sum into the next
     piece's sum, so every column is still summed row after row and the bits
     do not depend on the piece size. The mean of all rows takes no pieces,
@@ -296,7 +302,7 @@ def _column_variance(coords: np.ndarray, rows=None) -> np.ndarray:
 
 
 def _widest_axis(coords: np.ndarray, rows=None) -> int:
-    """The split axis of kd and median seeding: the column of ``coords[rows]`` with the largest variance.
+    """The split axis of ``kdtree.median_cut``: the column of ``coords[rows]`` with the largest variance.
 
     The argmax of ``_column_variance``. Rows near 1e160 overflow their
     variances to inf, and the first inf would win whatever the spread; then
@@ -320,15 +326,15 @@ def _widest_axis(coords: np.ndarray, rows=None) -> int:
 def variance_per_dimension(ds: Dataset) -> np.ndarray:
     """Population variance of each coordinate across all points.
 
-    This is the split-dimension variance of the kd-tree partitioner and of
-    median seeding: both take their axis from ``_widest_axis``, the argmax of
-    ``_column_variance`` over their node's rows, so all three give one
-    answer. A variance that overflows is returned as inf; only the axis
-    choice looks past it. Each column is summed row after row, from row 0
-    down, for the mean and again for the squared deviations; at d = 1 the
-    one column is summed pairwise, as numpy's ``var`` does. The bits depend
-    on the layout, so callers pass C-contiguous rows (a dataset's
-    coordinates and a copy of a node's rows are).
+    This is the split-dimension variance of ``kdtree.median_cut``, the cut
+    of the kd-tree partitioner and of median seeding: it takes its axis from
+    ``_widest_axis``, the argmax of ``_column_variance`` over the node's
+    rows, so both give one answer. A variance that overflows is returned as
+    inf; only the axis choice looks past it. Each column is summed row after
+    row, from row 0 down, for the mean and again for the squared deviations;
+    at d = 1 the one column is summed pairwise, as numpy's ``var`` does. The
+    bits depend on the layout, so callers pass C-contiguous rows (a
+    dataset's coordinates are).
     """
     return _column_variance(ds.coords)
 

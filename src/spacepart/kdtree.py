@@ -1,12 +1,13 @@
 """Baseline partitioner: recursive median splits on the highest-variance dimension.
 
-Each split takes the highest-variance dimension of the points at that node
-from ``core._widest_axis``, the argmax of ``core._column_variance``, the
-routine behind ``variance_per_dimension`` and median seeding, so all three
-pick the same axis for the same rows. It finds the lower median along that
-dimension with ``np.partition``, and routes points left/right with a
-deterministic tie rule that guarantees the two sides differ by at most one
-point. Leaves are the partitions.
+Each split is one ``median_cut``, the cut median seeding makes too. It
+takes the highest-variance dimension of the points at that node from
+``core._widest_axis``, the argmax of ``core._column_variance``, the routine
+behind ``variance_per_dimension``, so all three pick the same axis for the
+same rows. It finds the lower median along that dimension with
+``np.partition``, and routes points left/right with a deterministic tie rule
+that guarantees the two sides differ by at most one point. Leaves are the
+partitions.
 
 The split reads a node's rows in the dataset, and its variance reads them
 as ``core._piece_rows`` says (a copy of the node up to one 16 MB block, a
@@ -39,6 +40,7 @@ __all__ = [
     "KdPartitionTree",
     "select_rank",
     "select_median",
+    "median_cut",
     "kd_partition",
     "kd_route",
     "kd_tree_to_dict",
@@ -69,6 +71,30 @@ def select_median(values) -> float:
     if n == 0:
         raise ValueError("cannot take the median of an empty sequence")
     return select_rank(values, (n - 1) // 2)
+
+
+def median_cut(coords: np.ndarray, ids: np.ndarray, rows=None):
+    """kd's and median seeding's cut of the node ``coords[rows]`` (None: every row), read in place.
+
+    Returns ``(axis, col, median, left, ties, tie_left_max_id)``: the widest
+    axis (``core._widest_axis``), the node's column of it, its lower median,
+    the bool mask of the rows that go left by ``KdNode``'s rule, the
+    positions of the rows at the median and ``KdNode.tie_left_max_id``.
+    Neither side is empty when the node has two rows or more.
+    """
+    n = coords.shape[0] if rows is None else len(rows)
+    axis = _widest_axis(coords, rows)
+    col = coords[:, axis] if rows is None else coords[rows, axis]
+    median = select_median(col)
+
+    left = col < median
+    ties = np.flatnonzero(col == median)
+    need = (n + 1) // 2 - int(left.sum())
+    tie_ids = ids[ties if rows is None else rows[ties]]
+    order = np.argsort(tie_ids, kind="stable")
+    left[ties[order[:need]]] = True
+    tie_left_max_id = int(tie_ids[order[need - 1]]) if need > 0 else None
+    return axis, col, median, left, ties, tie_left_max_id
 
 
 @dataclass
@@ -124,18 +150,7 @@ def kd_partition(ds: Dataset, m: int, eps: float = 0.0) -> KdPartitionTree:
     def split(slot, rows, room):
         nonlocal scan
         n_node = ds.n if rows is None else len(rows)
-
-        split_dim = _widest_axis(ds.coords, rows)
-        col = ds.coords[:, split_dim] if rows is None else ds.coords[rows, split_dim]
-        median = select_median(col)
-
-        left_mask = col < median
-        eq_pos = np.flatnonzero(col == median)
-        need = (n_node + 1) // 2 - int(left_mask.sum())
-        eq_ids = ds.ids[eq_pos if rows is None else rows[eq_pos]]
-        order = np.argsort(eq_ids, kind="stable")
-        left_mask[eq_pos[order[:need]]] = True
-        tie_left_max_id = int(eq_ids[order[need - 1]]) if need > 0 else None
+        split_dim, col, median, left_mask, eq_pos, tie_left_max_id = median_cut(ds.coords, ds.ids, rows)
         scan += 3 * n_node  # variance, selection, labelling
 
         if eps > 0:

@@ -9,10 +9,11 @@ Four ways to pick the k split centers of one node:
 - ``kmeanspp``: squared-distance weighted sampling. Each next seed is drawn
   with probability proportional to its squared distance from the nearest
   already-chosen seed, which gravitates toward cluster centroids.
-- ``median``: the two points straddling the median of the highest-variance
-  dimension, reproducing an axis median split (fanout 2 only). The axis
-  comes from ``core._widest_axis``, the kd-tree's split-dimension choice, so
-  on the same rows both pick the same axis.
+- ``median``: the two points that straddle the kd-tree's axis median cut
+  (``kdtree.median_cut``, fanout 2 only): the point the cut sends left with
+  the largest value along its axis and the point it sends right with the
+  smallest. The tree build labels a node's rows with that same cut, read in
+  place, so a median split sends every row where kd's split sends it.
 
 Every strategy is a pure function of (points, k, seed): ties break toward the
 lowest point id and sampling uses an inverse-CDF over an explicit uniform
@@ -21,7 +22,7 @@ variate, so results are independent of evaluation order.
 random, gnat and kmeanspp run through one selector, ``select_positions``,
 over a squared-distance column provider: the public ``seeds_*`` functions
 pass the exact elementwise column, the Voronoi tree build passes its
-expansion kernel. ``SeedStrategy`` holds the one check of a strategy name.
+expansion kernel.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STRATEGY_KINDS, Point, _widest_axis, as_point_arrays, make_rng
-from .kdtree import select_median
+from .core import STRATEGY_KINDS, Point, as_point_arrays, make_rng
+from .kdtree import median_cut
 
 __all__ = [
     "STRATEGY_KINDS",
-    "SeedStrategy",
     "SeedSet",
     "seeds_random",
     "seeds_gnat",
@@ -44,18 +44,6 @@ __all__ = [
     "weighted_index",
     "sq_column",
 ]
-
-
-@dataclass(frozen=True)
-class SeedStrategy:
-    """A strategy kind plus the seed that makes its draws reproducible."""
-
-    kind: str
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown seeding strategy {self.kind!r}, expected one of {STRATEGY_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +100,10 @@ def select_positions(kind: str, ids: np.ndarray, k: int, rng: np.random.Generato
     ``column(p)`` returns the squared distances from every point to the point
     at position ``p``; ``node_coords()`` returns the points' coordinate rows
     and is only called to count distinct locations when kmeans++ runs out of
-    them. kmeans++ and farthest-sum selection reuse the columns they compute
-    while sampling, so k seeds cost k column passes.
+    them; the error names how many points it counted, since a tree build
+    counts only the node being split. kmeans++ and farthest-sum selection
+    reuse the columns they compute while sampling, so k seeds cost k column
+    passes.
     """
     n = len(ids)
     if kind == "random":
@@ -129,7 +119,7 @@ def select_positions(kind: str, ids: np.ndarray, k: int, rng: np.random.Generato
             if not nearest.sum() > 0:
                 distinct = len(np.unique(node_coords(), axis=0))
                 raise ValueError(
-                    f"cannot place {k} centers: the points span only {distinct} distinct locations"
+                    f"cannot place {k} centers: the {n} points being split span only {distinct} distinct locations"
                 )
             nxt = weighted_index(nearest, float(rng.random()))
             positions.append(nxt)
@@ -180,42 +170,44 @@ def seeds_kmeanspp(points, k: int, rng) -> SeedSet:
     Each round samples the next center with probability proportional to the
     squared distance to the nearest chosen center; points at distance zero can
     never be drawn. Raises when the points offer fewer distinct locations than
-    requested centers.
+    requested centers, naming the number of points and of their locations.
     """
     return _select("kmeanspp", points, k, rng, least=2)
 
 
 def seeds_median(points, k: int = 2) -> SeedSet:
-    """The two points straddling the median of the highest-variance dimension.
+    """The two points straddling the kd-tree's median cut of the highest-variance dimension.
 
-    Returns (below, above): the point with the largest coordinate <= median and
-    the point with the smallest coordinate strictly above it, ties broken by
-    lowest id. A Voronoi split compared along that dimension reproduces an axis
-    median split. Only defined for k = 2.
+    Returns (left, right): the point ``kdtree.median_cut`` sends left with the
+    largest coordinate along the axis and the point it sends right with the
+    smallest, ties broken by lowest id. The cut splits points at the median by
+    id, so on tied data both may lie at the median. Only defined for k = 2;
+    raises only for another k or fewer than 2 points.
     """
     coords, ids = as_point_arrays(points)
-    positions, _ = median_positions(coords, ids, k)
+    positions = median_positions(coords, ids, k)[0]
     return _seed_set(coords, ids, positions)
 
 
-def median_positions(coords: np.ndarray, ids: np.ndarray, k: int = 2) -> tuple[list[int], int]:
-    """Straddling pair around the axis median; also returns the chosen axis."""
+def median_positions(coords: np.ndarray, ids: np.ndarray, k: int = 2, rows=None):
+    """kd's median cut of the node ``coords[rows]`` (None: every row) and its straddling pair.
+
+    Returns ``(positions, axis, col, right)``: the node positions of the two
+    centers (see ``seeds_median``), and the cut's axis, the node's column of
+    it and the bool mask of the rows the cut sends right. ``ids`` are the ids
+    of the rows of ``coords``.
+    """
     if k != 2:
         raise ValueError(f"median seeding only supports k=2, got k={k}")
-    n = coords.shape[0]
-    if n < 2:
+    if (coords.shape[0] if rows is None else len(rows)) < 2:
         raise ValueError("median seeding needs at least 2 points")
-    axis = _widest_axis(coords)
-    col = coords[:, axis]
-    median = select_median(col)
+    axis, col, _, left, _, _ = median_cut(coords, ids, rows)
+    right = ~left
 
-    below = np.flatnonzero(col <= median)
-    below_best = below[col[below] == col[below].max()]
-    lo = _pick_lowest_id(below_best, ids)
+    def lowest_id_at(side, value):
+        at = np.flatnonzero(side & (col == value))
+        return int(at[np.argmin(ids[at if rows is None else rows[at]])])
 
-    above = np.flatnonzero(col > median)
-    if len(above) == 0:
-        raise ValueError(f"no point lies above the median along dimension {axis}; cannot straddle it")
-    above_best = above[col[above] == col[above].min()]
-    hi = _pick_lowest_id(above_best, ids)
-    return [lo, hi], axis
+    lo = lowest_id_at(left, col.max(where=left, initial=-np.inf))
+    hi = lowest_id_at(right, col.min(where=right, initial=np.inf))
+    return [lo, hi], axis, col, right

@@ -7,11 +7,14 @@ distance gap to a rival center is at most ``2*eps`` are flagged affected (for
 two centers this covers everything within ``eps`` of the bisecting hyperplane,
 and is a conservative superset of that band in general).
 
-Nodes built with median seeding compare along the seeding axis only, which
-makes the split coincide with an axis median split. Internal nodes never
-store points, only center data and counts; the finished tree stores points in
-its leaves alone. Walking the tree bottom-up yields the order in which
-per-partition cluster results should be merged.
+Nodes built with median seeding take their labels from the kd-tree's axis
+median cut (``kdtree.median_cut``), so the split is kd's split, rows tied at
+the median included. Their centers straddle the cut, and queries compare
+along its axis only: a build row routes to its label except where its two
+axis distances are equal, and such a row is affected at every eps. Internal
+nodes never store points, only center data and counts; the finished tree
+stores points in its leaves alone. Walking the tree bottom-up yields the
+order in which per-partition cluster results should be merged.
 
 Distance kernel: ``expansion_column`` computes squared distances as
 |p|^2 - 2 p.c + |c|^2 with precomputed row norms, clamped at zero. One BLAS
@@ -40,9 +43,11 @@ center. The build, the JSON and the CSV never build the table; a tree must
 not be changed after its first query.
 
 Labeller: ``_split_rows`` turns per-center columns into labels, the affected
-mask and child counts, for the build and for public ``assign_to_centers``
-alike; the latter feeds it the plain elementwise columns, where exact zero
-self-distances matter more than throughput. Both hand over columns they own:
+mask and child counts, for random, gnat and kmeans++ splits and for public
+``assign_to_centers`` alike; the latter feeds it the plain elementwise
+columns, where exact zero self-distances matter more than throughput. A
+median split takes its labels from the cut and writes the margin test on its
+two axis columns itself. ``_split_rows``' callers hand over columns they own:
 at k = 2 the labels are bool and the margin test takes its square roots and
 difference in the columns themselves. kmeans++ copies its first column as the
 running minimum of its draws only when a third center is drawn.
@@ -56,7 +61,8 @@ node that reads it in place, are layout, not algorithm, and are not counted.
 
 A random, gnat or kmeans++ split copies at most one 16 MB block of its node
 (``_distance_column`` says how it reads the node, under ``core._piece_rows``'s
-rule); median seeding copies every node.
+rule). A median split reads its node in place, as kd's split does: its
+variance under the same rule, then one column of the node's rows.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,10 +84,11 @@ from .core import (
     _piece_rows,
     _pieces,
     as_point_arrays,
+    check_strategy,
     make_rng,
     split_largest_leaf,
 )
-from .seeding import SeedStrategy, median_positions, select_positions, sq_column
+from .seeding import median_positions, select_positions, sq_column
 
 __all__ = [
     "VNode",
@@ -123,8 +130,8 @@ class VNode:
     """One tree node. Leaves carry their member rows; internal nodes do not.
 
     ``axis`` is set on nodes split with median seeding: distances to centers
-    are then measured along that dimension only, so the cell boundary is the
-    axis midpoint between the two straddling seeds.
+    are then measured along that dimension only, so a query's cell boundary
+    is the axis midpoint between the two straddling seeds.
     """
 
     level: int
@@ -212,18 +219,17 @@ def assign_to_centers(points, centers: Sequence[Point], eps: float = 0.0):
         raise ValueError("eps must be non-negative")
     coords, ids = as_point_arrays(points)
     cols = [sq_column(coords, c.coords) for c in centers]
-    labels, affected, _ = _split_rows(cols, None, eps, len(centers))
+    labels, affected, _ = _split_rows(cols, eps, len(centers))
     per_center = [[int(i) for i in ids[labels == c]] for c in range(len(centers))]
     return per_center, {int(i) for i in ids[affected]}
 
 
-def _split_rows(cols, axis, eps: float, k: int):
-    """Labels, affected mask and child counts from per-center distance columns.
+def _split_rows(cols, eps: float, k: int):
+    """Labels, affected mask and child counts from per-center squared distance columns.
 
-    Columns are squared distances (axis nodes: real axis distances); squared
-    values order identically, and the 2*eps margin test moves to real values
-    only when eps is positive. Labels go to the nearest center, ties to the
-    lowest center index; a tied point is affected for any eps.
+    Squared values order identically, and the 2*eps margin test moves to
+    real values only when eps is positive. Labels go to the nearest center,
+    ties to the lowest center index; a tied point is affected for any eps.
 
     At k = 2 the labels are bool (child 1 or not), and the margin test takes
     its square roots and difference in the columns themselves, so the caller
@@ -235,7 +241,7 @@ def _split_rows(cols, axis, eps: float, k: int):
     if k == 2:
         c0, c1 = cols
         labels = c1 < c0
-        if eps > 0.0 and axis is None:
+        if eps > 0.0:
             np.sqrt(c0, out=c0)
             np.sqrt(c1, out=c1)
         affected = c0 == c1 if eps == 0.0 else np.abs(np.subtract(c0, c1, out=c0), out=c0) <= 2.0 * eps
@@ -245,7 +251,7 @@ def _split_rows(cols, axis, eps: float, k: int):
 
     dists = np.column_stack(cols)
     labels = np.argmin(dists, axis=1)
-    if eps > 0.0 and axis is None:
+    if eps > 0.0:
         dists = np.sqrt(dists)
     two = np.partition(dists, 1, axis=1)
     affected = (two[:, 1] - two[:, 0]) <= 2.0 * eps
@@ -316,9 +322,9 @@ def build_vtree(
     ds: Dataset,
     m: int,
     fanout: int = 2,
-    strategy: Union[str, SeedStrategy] = "kmeanspp",
+    strategy: str = "kmeanspp",
     eps: float = 0.0,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> VTree:
     """Grow a Voronoi split tree until the dataset is cut into m leaf partitions.
 
@@ -329,13 +335,10 @@ def build_vtree(
     reproduce the same split and are accepted as-is). Reproducible from the
     seed. ``core.split_largest_leaf`` runs the loop and owns the rows; this
     function only cuts one node, read as ``_distance_column`` says (median
-    seeding copies every node). Only final leaves get ``members``.
+    seeding: in place, as ``kdtree.median_cut`` reads it). Only final leaves
+    get ``members``.
     """
-    if not isinstance(strategy, SeedStrategy):
-        strategy = SeedStrategy(strategy)
-    kind = strategy.kind
-    if seed is None:
-        seed = strategy.seed
+    kind = check_strategy(strategy)
     if m < 1:
         raise ValueError("m must be at least 1")
     if m > ds.n:
@@ -364,19 +367,21 @@ def build_vtree(
             return values if rows is None else np.take(values, rows, axis=0)
 
         n = ds.n if rows is None else len(rows)
-        ids, k = node(ds.ids), min(fanout, room, n)
+        k = min(fanout, room, n)
         if kind == "median":
-            coords = node(ds.coords)
-            positions, axis = median_positions(coords, ids, k)
-            cols = [np.abs(coords[:, axis] - coords[p, axis]) for p in positions]
-            labels, aff_mask, counts = _split_rows(cols, axis, eps, k)
+            positions, axis, col, labels = median_positions(ds.coords, ds.ids, k, rows)
+            c0, c1 = (np.abs(col - col[p]) for p in positions)
+            # the margin test on real axis distances: ties at eps 0, else a gap of at most 2*eps
+            aff_mask = c0 == c1 if eps == 0.0 else np.abs(np.subtract(c0, c1, out=c0), out=c0) <= 2.0 * eps
+            ones = int(labels.sum())
+            counts = np.array([n - ones, ones], dtype=np.int64)
             scan += 5 * n  # variance, selection, two axis columns, labelling
         else:
             column = _distance_column(ds.coords, sqnorms, rows, ds.n)
-            axis = None
+            ids, axis = node(ds.ids), None
             for attempt in (0, 1):
                 positions, cols = select_positions(kind, ids, k, rng, column, lambda: node(ds.coords))
-                labels, aff_mask, counts = _split_rows(cols, None, eps, k)
+                labels, aff_mask, counts = _split_rows(cols, eps, k)
                 scan += (k + 1) * n  # k distance columns and labelling
                 if counts.min() > 0 or attempt == 1:
                     break

@@ -7,7 +7,6 @@ from spacepart.core import Dataset, euclidean_distance, make_rng
 from spacepart.vtree import build_vtree
 from spacepart.seeding import (
     SeedSet,
-    SeedStrategy,
     seeds_gnat,
     seeds_kmeanspp,
     seeds_median,
@@ -26,9 +25,10 @@ def line_dataset(values):
 
 class TestStrategyTypes:
     def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            SeedStrategy("fancy")
-        assert SeedStrategy("gnat", seed=3).seed == 3
+        ds = line_dataset([0, 1])
+        with pytest.raises(ValueError, match=r"^unknown seeding strategy 'fancy', expected one of \('random', "):
+            build_vtree(ds, 2, strategy="fancy")
+        assert build_vtree(ds, 2, strategy="gnat", seed=3).config.seed == 3
 
     def test_seed_set_requires_distinct_ids(self):
         ds = line_dataset([0, 1])
@@ -135,6 +135,15 @@ class TestKmeanspp:
         with pytest.raises(ValueError, match="1 distinct"):
             seeds_kmeanspp(ds, 2, rng=0)
 
+    def test_build_error_names_the_points_it_counted(self):
+        # two locations x5: the root splits them 5 | 5, and the next split counts
+        # one location among its 5 rows, although the dataset holds two
+        ds = Dataset([[0.0, 0.0, 0.0]] * 5 + [[1.0, 2.0, 4.0]] * 5)
+        with pytest.raises(
+            ValueError, match=r"^cannot place 2 centers: the 5 points being split span only 1 distinct locations$"
+        ):
+            build_vtree(ds, 4, strategy="kmeanspp", seed=1)
+
     def test_empirical_distribution(self):
         ds = line_dataset([0, 1, 2])
         kept = 0
@@ -205,8 +214,11 @@ class TestMedian:
             seeds_median(line_dataset([1, 2, 3]), k=3)
 
     def test_all_equal_along_axis(self):
-        with pytest.raises(ValueError):
-            seeds_median(Dataset([[5.0], [5.0], [5.0]]))
+        # kd's cut sends ids 0 and 1 left and id 2 right: the centers are the
+        # lowest id on each side, both at the median
+        out = seeds_median(Dataset([[5.0], [5.0], [5.0]]))
+        assert [c.id for c in out.centers] == [0, 2]
+        assert [c.coords.tolist() for c in out.centers] == [[5.0], [5.0]]
 
 
 @pytest.mark.parametrize("strategy", ["random", "gnat", "kmeanspp"])

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spacepart import core
 from spacepart import vtree as vtree_module
@@ -333,14 +335,12 @@ class TestColumnPieces:
                 assert column(p).tobytes() == want.tobytes(), (n, p)
 
 
-def old_split_rows(c0, c1, axis, eps):
+def old_split_rows(c0, c1, eps):
     """The reference k = 2 labeller: int64 labels and new arrays throughout, on copies."""
     c0, c1 = c0.copy(), c1.copy()
     labels = (c1 < c0).astype(np.int64)
     if eps == 0.0:
         affected = c0 == c1
-    elif axis is not None:
-        affected = np.abs(c0 - c1) <= 2.0 * eps
     else:
         affected = np.abs(np.sqrt(c0) - np.sqrt(c1)) <= 2.0 * eps
     ones = int(labels.sum())
@@ -368,18 +368,90 @@ class TestInPlaceKernels:
                 assert col.tobytes() == want.tobytes(), (n, p)
         assert (coords.tobytes(), sqnorms.tobytes()) == before
 
-    @pytest.mark.parametrize("axis", [None, 0])
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0])
-    def test_two_way_labeller_matches_the_int64_formula(self, axis, eps):
+    def test_two_way_labeller_matches_the_int64_formula(self, eps):
         # squared distances on a coarse lattice: ties, zeros and gaps of exactly 2*eps
         rng = np.random.default_rng(17)
         c0 = rng.integers(0, 100, size=2000).astype(float)
         c1 = np.where(rng.random(2000) < 0.2, c0, rng.integers(0, 100, size=2000).astype(float))
-        want = old_split_rows(c0, c1, axis, eps)
-        labels, affected, counts = vtree_module._split_rows([c0.copy(), c1.copy()], axis, eps, 2)
+        want = old_split_rows(c0, c1, eps)
+        labels, affected, counts = vtree_module._split_rows([c0.copy(), c1.copy()], eps, 2)
         assert labels.dtype == bool and np.array_equal(labels, want[0])
         assert np.array_equal(affected, want[1]) and affected.any() and not affected.all()
         assert counts.tolist() == want[2].tolist()
+
+
+@st.composite
+def awkward_median_cases(draw):
+    """(dataset, m, eps): tied, duplicated or far-row data, with default or custom ids."""
+    kind = draw(st.sampled_from(["tied", "duplicated", "far-row"]))
+    m, eps = draw(st.integers(2, 32)), draw(st.sampled_from([0.0, 0.5]))
+    n, d = m + draw(st.integers(0, 40)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "tied":
+        coords = rng.integers(0, 3, size=(n, d)).astype(float)
+    elif kind == "duplicated":  # each location 7 times, one location when n <= 7
+        locations = rng.integers(0, 4, size=(-(-n // 7), d)).astype(float)
+        coords = locations[rng.permutation(np.repeat(np.arange(len(locations)), 7))]
+    else:  # [0, 1, 2, 3, 1e30]: a far row's two axis distances round to equal
+        coords = rng.integers(0, 4, size=(n, d)).astype(float)
+        coords[rng.random(n) < 0.2, rng.integers(d)] = draw(st.sampled_from([1e30, -1e30]))
+    ids = rng.permutation(10**6)[: len(coords)] * 7 + 10**12 if draw(st.booleans()) else None
+    return Dataset(coords, ids=ids), m, eps
+
+
+class TestMedianIsKdCut:
+    """Median seeding splits every node as kd's ``median_cut`` does, ties included."""
+
+    @settings(max_examples=300)
+    @given(awkward_median_cases())
+    def test_awkward_data_splits_as_kd(self, case):
+        ds, m, eps = case
+        tree = build_vtree(ds, m, strategy="median", eps=eps)
+        labels, affected = tree.leaf_assignment.labels, tree.leaf_assignment.affected
+        assert labels == kd_partition(ds, m, eps=eps).assignment.labels
+        assert all(len(leaf.members) for leaf in tree.leaf_nodes.values())
+        below = {}
+
+        def leaves_below(node):
+            below[id(node)] = ({node.partition_id} if node.is_leaf
+                               else set().union(*map(leaves_below, node.children)))
+            return below[id(node)]
+
+        leaves_below(tree.root)
+        for node in internal_nodes(tree.root):
+            assert abs(node.child_counts[0] - node.child_counts[1]) <= 1
+        for row in range(ds.n):
+            pid, x = int(ds.ids[row]), ds.coords[row]
+            assert route_point(tree, x) in affected_partitions(tree, x, eps)
+            node, flagged = tree.root, False
+            while not node.is_leaf:
+                d0, d1 = _axis_distances(node, x, real=True)
+                side = 0 if labels[pid] in below[id(node.children[0])] else 1
+                if side != (1 if d1 < d0 else 0):  # the row leaves its route only at a tie
+                    assert d0 == d1 and pid in affected
+                flagged |= d0 == d1 if eps == 0.0 else abs(d0 - d1) <= 2.0 * eps
+                node = node.children[side]
+            assert flagged == (pid in affected)
+
+    def test_far_row_splits_as_kd(self):
+        # |1e30 - 2| and |1e30 - 3| round to one float: the far row ties, goes right
+        # with kd and is affected, although a query for it routes left
+        ds = Dataset([[0.0], [1.0], [2.0], [3.0], [1e30]])
+        tree = build_vtree(ds, 2, strategy="median")
+        assert tree.root.child_counts == (3, 2)
+        assert [c.id for c in tree.root.centers] == [2, 3]
+        assert tree.leaf_assignment.labels == kd_partition(ds, 2).assignment.labels
+        assert tree.leaf_assignment.affected == {4}
+        assert route_point(tree, ds.coords[4]) == 0 != tree.leaf_assignment.labels[4]
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_one_and_two_locations_split_as_kd(self, m):
+        for coords in ([[1.0, 2.0, 3.0]] * 10, [[0.0, 0.0, 0.0]] * 5 + [[1.0, 2.0, 4.0]] * 5):
+            ds = Dataset(coords)
+            tree = build_vtree(ds, m, strategy="median", seed=1)
+            assert tree.leaf_assignment.labels == kd_partition(ds, m).assignment.labels
+            assert all(len(leaf.members) for leaf in tree.leaf_nodes.values())
 
 
 class TestRouting:
