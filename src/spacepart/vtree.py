@@ -31,16 +31,26 @@ kernel's float operations in the kernel's order on the 1-D probe row: one
 per-node arrays. So their distances equal ``VNode.squared_distances`` and
 ``distances_from`` bit for bit. A probe is made C-contiguous first, so that
 its answers do not depend on its memory layout. A tree's first query builds
-its walk table (``_walk_table``), nested tuples in which a leaf is its
-partition id and a node without an axis holds one ``(center coords, center
-sqnorm, child)`` entry per center, and the tree keeps it. Over the entries
-the walks inline the arithmetic and keep a running minimum seeded with the
-first center and replaced only on a strict ``<``: the first minimum, which is
-what ``dists.index(min(dists))`` and ``np.argmin`` pick, ties and all-inf
-nodes included. Axis nodes, which only median seeding makes, keep their
-``VNode`` in the table and call ``_axis_distances``, one subtraction per
-center. The build, the JSON and the CSV never build the table; a tree must
-not be changed after its first query.
+its walk table (``_walk_table``) and the tree keeps it. In the table a leaf
+is its partition id and a node of two centers is one flat tuple ``(coords 0,
+sqnorm 0, child 0, coords 1, sqnorm 1, child 1)``. A node of more centers is
+a ``_Wide`` tuple of ``(coords, sqnorm, child)`` entries, and an axis node,
+which only median seeding makes, an ``_Axis`` pair of its ``VNode`` and its
+children; the walks tell them apart by type. They clamp each distance at
+zero inline and take the first minimum, as ``np.argmin`` does: a two-center
+node takes child 1 only on a strict ``<``, a wider one keeps a running
+minimum seeded at +inf with child 0. Probe and center norms are finite, so a
+distance lies in [0, +inf] and is never NaN; it is +inf where ``-2 p.c``
+overflows. Axis nodes compare real axis distances (``_axis_distances``, one
+subtraction per center) in both walks. ``affected_partitions`` follows a
+child unless its distance exceeds the node minimum by more than ``2*eps``
+(``not d - dmin > margin``). So a node whose distances are all +inf, where
+``inf - inf`` is NaN, follows every child, as a tie does, and the routed
+leaf is always in the set. A route's comparison count is the sum of the
+fanouts on the one path to its leaf, so the table build records it per leaf
+and ``route_point_counted`` looks it up after the walk. The build, the JSON
+and the CSV never build the table; a tree must not be changed after its
+first query.
 
 Labeller: ``_split_rows`` turns per-center columns into labels, the affected
 mask and child counts, for random, gnat and kmeans++ splits and for public
@@ -200,8 +210,17 @@ class VTree:
 
     @cached_property
     def _walk(self):
-        """The query walks' table (``_walk_table`` of the root), built on the first query."""
-        return _walk_table(self.root)
+        """The query walks' table (``_walk_table`` of the root) and each leaf's
+        comparison count, the sum of the fanouts on its path, built on the first query."""
+        counts = {}
+        stack = [(self.root, 0)]
+        while stack:
+            node, count = stack.pop()
+            if node.is_leaf:
+                counts[node.partition_id] = count
+            else:
+                stack.extend((child, count + len(node.centers)) for child in node.children)
+        return _walk_table(self.root), counts
 
 
 def assign_to_centers(points, centers: Sequence[Point], eps: float = 0.0):
@@ -423,8 +442,8 @@ def _check_point(tree: VTree, p) -> tuple[np.ndarray, float]:
     same coordinates in a contiguous row. The 1-D ``einsum`` gives the same
     float as ``row_sqnorms`` on the one-row input ``row[None, :]`` without that
     call's 2-D dispatch. The squared norm must be finite: with an infinite norm
-    every distance is inf, routing falls to child 0 and the margin test
-    (inf - inf) follows no child. A finite norm implies finite coordinates, so
+    every distance is inf or NaN, routing falls to child 0 and the affected
+    set says nothing. A finite norm implies finite coordinates, so
     the norm comes first and the coordinates are scanned only when it is not
     finite, to tell non-finite coordinates from an overflowing norm.
     """
@@ -447,91 +466,140 @@ def _axis_distances(node: VNode, row: np.ndarray, real: bool) -> list[float]:
     return [abs(t) for t in offsets] if real else [t * t for t in offsets]
 
 
-def _walk_table(node: VNode):
-    """The query walks' view of a subtree, in nested tuples.
+class _Wide(tuple):
+    """A walk-table node of more than two centers: one ``(coords, sqnorm, child)`` entry per center."""
 
-    A leaf is its partition id. A node without an axis is ``(None, entries)``
-    with one ``(center coords, center sqnorm, child)`` entry per center; an
-    axis node is ``(node, children)``.
+    __slots__ = ()
+
+
+class _Axis(tuple):
+    """A walk-table axis node: ``(VNode, child tables)``."""
+
+    __slots__ = ()
+
+
+def _walk_table(node: VNode):
+    """The query walks' view of a subtree, in tuples told apart by type.
+
+    A leaf is its partition id. A node without an axis is the flat tuple
+    ``(coords 0, sqnorm 0, child 0, coords 1, sqnorm 1, child 1)`` when it
+    has two centers, else a ``_Wide`` of ``(coords, sqnorm, child)`` entries;
+    an axis node is an ``_Axis`` of ``(node, children)``.
     """
     if node.is_leaf:
         return node.partition_id
     children = tuple(_walk_table(child) for child in node.children)
     if node.axis is not None:
-        return node, children
-    return None, tuple(zip([c.coords for c in node.centers], node.center_sqnorms, children))
+        return _Axis((node, children))
+    entries = tuple(zip([c.coords for c in node.centers], node.center_sqnorms, children))
+    if len(entries) == 2:
+        return entries[0] + entries[1]
+    return _Wide(entries)
+
+
+def route_point(tree: VTree, p) -> int:
+    """Descend the tree choosing the nearest center at each node.
+
+    Each level takes the first center at the minimum distance, as ``np.argmin``
+    does on the node kernel's row, ties and all-inf nodes included. An axis
+    node compares its real axis distances, as ``affected_partitions`` does:
+    their squares order the same, except where they overflow or underflow to
+    one float, which would route a probe outside its affected set.
+    """
+    row, row_sq = _check_point(tree, p)
+    dot = row.dot
+    t = tree._walk[0]
+    while True:
+        kind = type(t)
+        if kind is tuple:
+            c0, s0, t0, c1, s1, t1 = t
+            x = row_sq - 2.0 * float(dot(c0)) + s0
+            if x < 0.0:
+                x = 0.0
+            y = row_sq - 2.0 * float(dot(c1)) + s1
+            if y < 0.0:
+                y = 0.0
+            t = t1 if y < x else t0
+        elif kind is _Wide:
+            dmin, best = math.inf, t[0][2]
+            for coords, sq_c, child in t:
+                d = row_sq - 2.0 * float(dot(coords)) + sq_c
+                if d < 0.0:
+                    d = 0.0
+                if d < dmin:
+                    dmin, best = d, child
+            t = best
+        elif kind is _Axis:
+            node, children = t
+            dists = _axis_distances(node, row, real=True)
+            t = children[dists.index(min(dists))]
+        else:
+            return t
 
 
 def route_point_counted(tree: VTree, p) -> tuple[int, int]:
     """Leaf partition id for a point plus the number of distance comparisons.
 
-    Each level takes the first center at the minimum distance, as ``np.argmin``
-    does on the node kernel's row: a running minimum seeded with the first
-    center and replaced only on a strict ``<`` is ``dists.index(min(dists))``,
-    ties and all-inf nodes included.
+    The count is the sum of the fanouts on the path to the leaf, which the
+    walk table records per leaf; the walk is ``route_point``'s.
     """
-    row, row_sq = _check_point(tree, p)
-    dot = row.dot
-    t = tree._walk
-    comparisons = 0
-    while type(t) is tuple:
-        node, entries = t
-        if node is not None:
-            dists = _axis_distances(node, row, real=False)
-            comparisons += len(dists)
-            t = entries[dists.index(min(dists))]
-            continue
-        comparisons += len(entries)
-        coords, sq_c, best = entries[0]
-        dmin = max(row_sq - 2.0 * float(dot(coords)) + sq_c, 0.0)
-        for coords, sq_c, child in entries[1:]:
-            d = max(row_sq - 2.0 * float(dot(coords)) + sq_c, 0.0)
-            if d < dmin:
-                dmin, best = d, child
-        t = best
-    return t, comparisons
-
-
-def route_point(tree: VTree, p) -> int:
-    """Descend the tree choosing the nearest center at each node."""
-    return route_point_counted(tree, p)[0]
+    leaf = route_point(tree, p)
+    return leaf, tree._walk[1][leaf]
 
 
 def affected_partitions(tree: VTree, p, eps: float) -> set[int]:
     """All leaves a point could interact with inside the 2*eps distance margin.
 
-    Follows every center whose distance exceeds the node minimum by at most
-    ``2*eps``; always contains the point's own routed leaf. One pass over a
-    node's centers keeps the distances and a running minimum, seeded and
-    updated as in ``route_point_counted``, so ``dmin`` is ``min(dists)``.
+    Follows every center whose distance does not exceed the node minimum by
+    more than ``2*eps``; always contains the point's own routed leaf, also
+    where every distance at a node is +inf and their gaps are NaN. Distances
+    and the minimum are computed as in ``route_point``.
     """
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
     row, row_sq = _check_point(tree, p)
     dot, margin, sqrt = row.dot, 2.0 * eps, math.sqrt
     out: set[int] = set()
-    stack = [tree._walk]
+    stack = [tree._walk[0]]
+    push = stack.append
     while stack:
         t = stack.pop()
-        if type(t) is not tuple:
-            out.add(t)
-            continue
-        node, entries = t
-        if node is not None:
-            dists = _axis_distances(node, row, real=True)
-            dmin, pairs = min(dists), zip(dists, entries)
-        else:
-            coords, sq_c, child = entries[0]
-            dmin = sqrt(max(row_sq - 2.0 * float(dot(coords)) + sq_c, 0.0))
-            pairs = [(dmin, child)]
-            for coords, sq_c, child in entries[1:]:
-                d = sqrt(max(row_sq - 2.0 * float(dot(coords)) + sq_c, 0.0))
-                pairs.append((d, child))
+        kind = type(t)
+        if kind is tuple:
+            c0, s0, t0, c1, s1, t1 = t
+            x = row_sq - 2.0 * float(dot(c0)) + s0
+            if x < 0.0:
+                x = 0.0
+            y = row_sq - 2.0 * float(dot(c1)) + s1
+            if y < 0.0:
+                y = 0.0
+            x, y = sqrt(x), sqrt(y)
+            if y < x:
+                push(t1)
+                if not x - y > margin:
+                    push(t0)
+            else:
+                push(t0)
+                if not y - x > margin:
+                    push(t1)
+        elif kind is _Wide:
+            dmin, dists = math.inf, []
+            for coords, sq_c, _ in t:
+                d = row_sq - 2.0 * float(dot(coords)) + sq_c
+                if d < 0.0:
+                    d = 0.0
+                d = sqrt(d)
+                dists.append(d)
                 if d < dmin:
                     dmin = d
-        for d, child in pairs:
-            if d - dmin <= margin:
-                stack.append(child)
+            stack.extend(child for d, (_, _, child) in zip(dists, t) if not d - dmin > margin)
+        elif kind is _Axis:
+            node, children = t
+            dists = _axis_distances(node, row, real=True)
+            dmin = min(dists)
+            stack.extend(child for d, child in zip(dists, children) if not d - dmin > margin)
+        else:
+            out.add(t)
     return out
 
 

@@ -499,8 +499,8 @@ class TestRouting:
 
     @pytest.mark.filterwarnings("error")
     def test_probe_whose_squared_norm_overflows(self):
-        # finite coordinates, but |p|^2 is inf: every distance would be inf,
-        # routing would take child 0 and the affected set would come out empty
+        # finite coordinates, but |p|^2 is inf: every distance would be inf or
+        # NaN, routing would take child 0 and the affected set would mean nothing
         ds = random_dataset(47, 200, 16)
         tree = build_vtree(ds, 8, seed=0)
         probe = np.full(16, 1e160)
@@ -538,11 +538,32 @@ def brute_force_affected(tree, coords, eps):
         dists = node.distances_from(np.asarray(coords, dtype=float)[None, :])[0]
         dmin = dists.min()
         for j in range(len(node.centers)):
-            if dists[j] - dmin <= 2 * eps:
+            if not dists[j] - dmin > 2 * eps:  # an all-inf node's NaN gaps follow every child
                 descend(node.children[j])
 
     descend(tree.root)
     return results
+
+
+@st.composite
+def overflow_cases(draw):
+    """(dataset, strategy, fanout, m, eps) with rows near the 1e154 scale.
+
+    Every squared norm is finite, but ``2 p.c`` overflows for a probe and a
+    center of large opposite coordinates, so both distances at a node can be
+    +inf.
+    """
+    strategy = draw(st.sampled_from(["random", "gnat", "median"]))
+    fanout = 2 if strategy == "median" else draw(st.integers(2, 4))
+    d, n = draw(st.integers(1, 3)), draw(st.integers(4, 40))
+    m, eps = draw(st.integers(2, min(n, 12))), draw(st.sampled_from([0.0, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.uniform(0.5, 1.0, size=(n, d)) * (1.3e154 / math.sqrt(d))  # |p|^2 < 1.7e308
+    coords *= 10.0 ** -rng.integers(0, 3, size=(n, 1)).astype(float)  # some products overflow, some not
+    signs = draw(st.sampled_from(["positive", "negative", "mixed"]))  # the probes' signs are flipped too
+    if signs != "positive":
+        coords *= -1.0 if signs == "negative" else rng.choice([-1.0, 1.0], size=(n, d))
+    return Dataset(coords), strategy, fanout, m, eps
 
 
 class TestAffectedPartitions:
@@ -572,6 +593,35 @@ class TestAffectedPartitions:
                     got = affected_partitions(tree, p, eps)
                     assert route_point(tree, p) in got
                     assert got == brute_force_affected(tree, p.coords, eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(overflow_cases())
+    def test_route_is_affected_where_distances_overflow(self, case):
+        ds, strategy, fanout, m, eps = case
+        with np.errstate(over="ignore", invalid="ignore"):  # the build's columns overflow too
+            tree = build_vtree(ds, m, fanout=fanout, strategy=strategy, eps=eps, seed=m)
+        for x in list(ds.coords) + list(-ds.coords):
+            assert route_point(tree, x) in affected_partitions(tree, x, eps)
+
+    def test_all_inf_node_follows_every_child(self):
+        # -2 p.c overflows for both centers: both distances are +inf
+        ds = Dataset([[1.0e154], [1.1e154], [0.9e154], [1.05e154]])
+        probe = np.array([-1.3e154])
+        for strategy in ("random", "gnat"):
+            with np.errstate(over="ignore"):
+                tree = build_vtree(ds, 2, strategy=strategy, seed=0)
+            assert route_point(tree, probe) == 0
+            for eps in (0.0, 1e300):
+                assert affected_partitions(tree, probe, eps) == {0, 1}
+
+    def test_axis_route_is_affected_where_squares_overflow(self):
+        # the probe is nearer center 1, but both squared axis distances overflow to +inf
+        ds = Dataset([[-0.5e154], [-0.4e154], [-1e154], [-0.9e154]])
+        tree = build_vtree(ds, 2, strategy="median")
+        probe = np.array([1.3e154])
+        assert [c.id for c in tree.root.centers] == [3, 0]
+        assert route_point_counted(tree, probe) == (1, 2)
+        assert affected_partitions(tree, probe, 0.0) == {1}
 
 
 def reference_route(tree, coords):
@@ -692,18 +742,23 @@ class TestQueryWalk:
         )
         return dataclasses.replace(tree, root=root, dims=2, levels=1)
 
-    @pytest.mark.parametrize("case", ["all-inf", "four-way-tie"])
+    # (centers, center sqnorms or None for the true ones, first minimum,
+    # whether every child is affected at every eps)
+    EDGE_NODES = {
+        # every center distance is +inf: the walk must still pick child 0, and
+        # the NaN gaps (inf - inf) follow every child
+        "all-inf": ([(1.0, 0.0), (0.0, 1.0), (2.0, 2.0)], [math.inf] * 3, 0, True),
+        "two-all-inf": ([(1.0, 0.0), (0.0, 1.0)], [math.inf] * 2, 0, True),
+        # centers 1-4 are each exactly 1 from the origin, center 0 is 3 away
+        "four-way-tie": ([(3.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], None, 1, False),
+        "two-way-tie": ([(0.0, 1.0), (0.0, -1.0)], None, 0, True),
+    }
+
+    @pytest.mark.parametrize("case", list(EDGE_NODES))
     def test_edge_nodes_follow_first_minimum(self, case):
         base = build_vtree(random_dataset(5, 20, 2), 2, strategy="kmeanspp", seed=1)
-        if case == "all-inf":
-            # every center distance is +inf: the walk must still pick child 0
-            tree = self.hand_built(base, [(1.0, 0.0), (0.0, 1.0), (2.0, 2.0)], [math.inf] * 3)
-            first = 0
-        else:
-            # centers 1-4 are each exactly 1 from the origin, center 0 is 3 away
-            centers = [(3.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-            tree = self.hand_built(base, centers, [c[0] ** 2 + c[1] ** 2 for c in centers])
-            first = 1
+        centers, sqnorms, first, all_affected = self.EDGE_NODES[case]
+        tree = self.hand_built(base, centers, sqnorms or [c[0] ** 2 + c[1] ** 2 for c in centers])
         probe = np.zeros(2)
         dists = tree.root.squared_distances(probe[None, :])[0].tolist()
         assert dists.index(min(dists)) == first
@@ -712,7 +767,33 @@ class TestQueryWalk:
         for eps in (0.0, 0.5, 10.0):
             with np.errstate(invalid="ignore"):  # inf - inf in the reference's margin test
                 expected = brute_force_affected(tree, probe, eps)
+            if all_affected:
+                assert expected == set(range(len(centers)))
             assert affected_partitions(tree, probe, eps) == expected
+
+    @pytest.mark.parametrize("fanout", [2, 4])
+    def test_comparisons_are_the_fanout_sum_on_the_path(self, fanout):
+        ds = random_dataset(89, 400, 3)
+        tree = build_vtree(ds, 23, fanout=fanout, strategy="kmeanspp", seed=fanout)
+        path_sum = {}
+
+        def walk(node, total):
+            if node.is_leaf:
+                path_sum[node.partition_id] = total
+            for child in node.children:
+                walk(child, total + len(node.centers))
+
+        walk(tree.root, 0)
+        assert sorted(path_sum) == list(range(23))
+        if fanout == 4:  # the last split shrinks, so the sums differ from leaf to leaf
+            assert len({len(n.centers) for n in internal_nodes(tree.root)}) > 1
+        reached = set()
+        for leaf in tree.leaf_nodes.values():
+            for row in leaf.members[:5]:
+                got, comparisons = route_point_counted(tree, ds.coords[row])
+                assert comparisons == path_sum[got]
+                reached.add(got)
+        assert reached == set(range(23))
 
     def test_walk_table_is_built_once_by_the_first_query(self, monkeypatch, tmp_path, capsys):
         built = []
